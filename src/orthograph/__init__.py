@@ -10,8 +10,6 @@ from .fields import (
     GF3,
     QQ,
     Field,
-    FieldElement,
-    FieldMismatchError,
     PrimeField,
     RationalField,
     field_from_name,

@@ -167,6 +167,8 @@ def _solve_certificate(param: str, g: Graph, field: Optional[PrimeField], dim_ca
 
 
 def cmd_solve(args) -> int:
+    if args.dim_cap is not None and args.dim_cap < 1:
+        raise UsageError(f"--dim-cap must be at least 1, got {args.dim_cap}")
     g = _load_graph(args.graph)
     field = None
     if args.param in ("od", "od-local", "minrank"):
@@ -301,6 +303,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_index_code(args) -> int:
+    if args.simulate < 0:
+        raise UsageError(f"--simulate must be at least 0, got {args.simulate}")
     g = _load_graph(args.graph)
     field = _prime_field(args.field)
     code = code_by_method(g, field, args.method, seed=args.seed)

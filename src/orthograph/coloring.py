@@ -138,7 +138,9 @@ def greedy_coloring(g: Graph) -> list[int]:
 
 def k_colorable(g: Graph, k: int) -> Optional[list[int]]:
     """Backtracking k-colorability decision with DSATUR branching and
-    smallest-unused-index symmetry breaking; returns a coloring or None."""
+    smallest-unused-index symmetry breaking; returns a coloring or None.
+    The search keeps an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit."""
     n = g.n
     if n == 0:
         return []
@@ -146,6 +148,7 @@ def k_colorable(g: Graph, k: int) -> Optional[list[int]]:
         return None
     colors = [-1] * n
     sat = [0] * n
+    neg_degree = [-g.degree(u) for u in range(n)]
     used = 0
 
     def pick() -> Optional[int]:
@@ -153,42 +156,47 @@ def k_colorable(g: Graph, k: int) -> Optional[list[int]]:
         for u in range(n):
             if colors[u] >= 0:
                 continue
-            key = (-(sat[u].bit_count()), -g.degree(u), u)
+            key = (-(sat[u].bit_count()), neg_degree[u], u)
             if best_key is None or key < best_key:
                 best_v, best_key = u, key
         return best_v
 
-    def rec() -> bool:
-        nonlocal used
-        v = pick()
-        if v is None:
-            return True
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if sat[v] >> c & 1:
-                continue
-            colors[v] = c
-            prev_used = used
-            used = max(used, c + 1)
-            touched = []
-            dead = False
-            for u in _bits(g.adj[v]):
-                if colors[u] < 0 and not (sat[u] >> c & 1):
-                    sat[u] |= 1 << c
-                    touched.append(u)
-                    if sat[u].bit_count() >= k:
-                        # u would have no color left only if all k colors hit
-                        if sat[u] == (1 << k) - 1:
-                            dead = True
-            if not dead and rec():
-                return True
+    # one frame per colored vertex: [vertex, color limit, color tried,
+    # `used` before it, neighbors whose saturation it set (None: no color on)]
+    stack = [[pick(), min(k, used + 1), 0, 0, None]]
+    while stack:
+        frame = stack[-1]
+        v, limit, c, prev_used, touched = frame
+        if touched is not None:  # undo the color tried last, then try the next
             for u in touched:
                 sat[u] &= ~(1 << c)
             used = prev_used
             colors[v] = -1
-        return False
-
-    return colors.copy() if rec() else None
+            c += 1
+        while c < limit and sat[v] >> c & 1:
+            c += 1
+        if c >= limit:
+            stack.pop()
+            continue
+        colors[v] = c
+        frame[2:] = c, used, []
+        used = max(used, c + 1)
+        touched = frame[4]
+        dead = False
+        for u in _bits(g.adj[v]):
+            if colors[u] < 0 and not (sat[u] >> c & 1):
+                sat[u] |= 1 << c
+                touched.append(u)
+                # u has no color left once all k colors hit it
+                if sat[u] == (1 << k) - 1:
+                    dead = True
+        if dead:
+            continue
+        w = pick()
+        if w is None:
+            return colors.copy()
+        stack.append([w, min(k, used + 1), 0, 0, None])
+    return None
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> ParamResult:

@@ -17,10 +17,6 @@ from typing import Iterator, Sequence
 MAX_PRIME = 251  # one byte per residue
 
 
-class FieldMismatchError(ValueError):
-    """Raised when operands from different fields are combined."""
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality check by trial division (small n only)."""
     if n < 2:
@@ -178,71 +174,3 @@ def field_from_name(name: str) -> Field:
     except ValueError:
         raise ValueError(f"unrecognized field {name!r}; expected a prime or 'Q'") from None
     return PrimeField(p)
-
-
-class FieldElement:
-    """A field element paired with its field; arithmetic checks for mixed fields.
-
-    Thin convenience wrapper; the solvers work on raw canonical values through
-    the field objects directly.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = field.element(value)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"mixed fields: {self.field} and {other.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.value, other.value))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.field.name}:{self.value}"
-
-
-def inner_product(xs: Sequence[FieldElement], ys: Sequence[FieldElement]) -> FieldElement:
-    """Standard inner product of two vectors of wrapped field elements."""
-    if len(xs) != len(ys):
-        raise ValueError(f"inner product length mismatch: {len(xs)} vs {len(ys)}")
-    if not xs:
-        raise ValueError("inner product of empty vectors has no field")
-    field = xs[0].field
-    for e in list(xs) + list(ys):
-        if e.field != field:
-            raise FieldMismatchError(f"mixed fields: {field} and {e.field}")
-    return FieldElement(field, field.inner([e.value for e in xs], [e.value for e in ys]))

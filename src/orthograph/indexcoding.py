@@ -79,7 +79,9 @@ def representing_matrix(g: Graph, rep: Representation) -> Matrix:
 
     For each vertex i, y_i is the lexicographically smallest vector that is
     orthogonal to the vectors of i's non-neighbors and not orthogonal to
-    u_i; then M[i][j] = <y_i, u_j>."""
+    u_i; then M[i][j] = <y_i, u_j>.  y_i is picked coordinate by coordinate
+    inside the nullspace of the non-neighbors' vectors (see
+    _smallest_combination), in time polynomial in t."""
     h = complement(g)
     bad = independence_violations(h, rep)
     if bad:
@@ -100,23 +102,43 @@ def representing_matrix(g: Graph, rep: Representation) -> Matrix:
 
 def _smallest_combination(field: PrimeField, basis: Sequence[tuple], target: tuple):
     """Lexicographically smallest vector in span(basis) with nonzero inner
-    product against target."""
-    import itertools
+    product against target.
 
-    t = len(target)
-    best = None
-    for coeffs in itertools.product(range(field.size), repeat=len(basis)):
-        y = [field.zero] * t
-        for c, b in zip(coeffs, basis):
-            if c:
-                for k in range(t):
-                    y[k] = field.add(y[k], field.mul(c, b[k]))
-        y = tuple(y)
-        if field.inner(y, target) != field.zero and (best is None or y < best):
-            best = y
-    if best is None:
+    The vectors still on offer form an affine space a + W, starting from
+    a = 0 and W = span(basis).  Coordinate k is fixed in turn: if some e in W
+    has e[k] = 1, coordinate k is eliminated from a and from the rest of W
+    with e, which leaves y[k] = 0 on offer; y[k] = 1 (a += e) is chosen only
+    when every vector left would be orthogonal to target.  Without such an
+    e, y[k] = a[k] is forced.  O(t^2 * len(basis)) steps, against the
+    q^len(basis) vectors of span(basis)."""
+    p = field.size
+    a = [0] * len(target)
+    a_dot = 0
+    rows = [list(b) for b in basis]  # spans W; coordinates before k are zero
+    dots = [sum(x * y for x, y in zip(r, target)) % p for r in rows]
+    if not any(dots):
         raise ValueError("no dual vector exists; representation is not independent")
-    return best
+    for k in range(len(target)):
+        j = next((j for j, r in enumerate(rows) if r[k] % p), None)
+        if j is None:
+            continue
+        e, e_dot = rows.pop(j), dots.pop(j)
+        inv = pow(e[k], p - 2, p)
+        e = [x * inv % p for x in e]
+        e_dot = e_dot * inv % p
+        for i, r in enumerate(rows):
+            c = r[k] % p
+            if c:
+                rows[i] = [(x - c * y) % p for x, y in zip(r, e)]
+                dots[i] = (dots[i] - c * e_dot) % p
+        c = a[k]
+        if c:
+            a = [(x - c * y) % p for x, y in zip(a, e)]
+            a_dot = (a_dot - c * e_dot) % p
+        if not a_dot and not any(dots):
+            a = [(x + y) % p for x, y in zip(a, e)]
+            a_dot = e_dot
+    return tuple(a)
 
 
 def build_code(g: Graph, m: Matrix) -> IndexCode:

@@ -87,12 +87,6 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "EchelonBasis":
-        b = EchelonBasis(self.field, self.ncols)
-        b.rows = list(self.rows)
-        b.pivots = list(self.pivots)
-        return b
-
     def reduce(self, v: Sequence) -> Vector:
         """Residual of v after elimination against the basis; zero iff v is in the span."""
         if len(v) != self.ncols:

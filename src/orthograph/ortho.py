@@ -21,6 +21,16 @@ checking).  Vertices follow a static order and each domain is walked in
 candidate order, so pruning only cuts subtrees without a solution and the
 first witness found does not depend on it.
 
+find_independent_rep (the minrank search) uses a second table per (p, t).
+It numbers the projective points of F^t in lexicographic order, by
+arithmetic rather than by listing F^t, so the points with support in the
+first r coordinates come in the order the normal form tries them.  Subspaces are interned by their reduced echelon rows, each with a
+bitmask of its points and a memoised map from (subspace, point) to the
+subspace the point extends it to.  Each vertex holds the id of the span of
+its assigned neighbors' vectors, so testing that a vector avoids that span,
+and that it does not pull an assigned neighbor's vector into the
+neighbor's span, are bit tests; backtracking restores the old ids.
+
 Rational vectors are accepted for verification only: they certify
 statements over the reals exactly, but are never searched for.
 """
@@ -173,6 +183,12 @@ class _Table:
         return m
 
 
+def _projective(v: tuple, p: int) -> tuple:
+    """The multiple of a nonzero vector over GF(p) with leading coefficient 1."""
+    scale = pow(next(x for x in v if x), p - 2, p)
+    return tuple(scale * x % p for x in v)
+
+
 class _BitSpace(_Table):
     """GF(2)-specific backend: vectors are int bitmasks, rank via xor echelon."""
 
@@ -232,12 +248,7 @@ class _TupleSpace(_Table):
             if next((x for x in v if x), 0) == 1 and sum(x * x for x in v) % p
         ]
         firsts = [v for v in itertools.combinations_with_replacement(range(p), t) if sum(x * x for x in v) % p]
-        super().__init__(t, cands, list(dict.fromkeys(map(self._projective, firsts))))
-
-    def _projective(self, v: tuple) -> tuple:
-        p = self.p
-        scale = pow(next(x for x in v if x), p - 2, p)
-        return tuple(scale * x % p for x in v)
+        super().__init__(t, cands, list(dict.fromkeys(_projective(v, p) for v in firsts)))
 
     def _orth_mask(self, v: tuple) -> int:
         p = self.p
@@ -252,7 +263,7 @@ class _TupleSpace(_Table):
         span = [(0,) * self.t]
         for row, _ in basis:
             span = [tuple((x + c * y) % p for x, y in zip(v, row)) for v in span for c in range(p)]
-        return [self._projective(v) for v in span if any(v)]
+        return [_projective(v, p) for v in span if any(v)]
 
     def reduce(self, basis: tuple, v: tuple):
         p = self.p
@@ -269,7 +280,7 @@ class _TupleSpace(_Table):
         pivot = next((j for j, x in enumerate(r) if x), None)
         if pivot is None:
             return basis
-        return basis + ((self._projective(r), pivot),)
+        return basis + ((_projective(r, self.p), pivot),)
 
     def to_tuple(self, v: tuple) -> tuple:
         return v
@@ -467,6 +478,104 @@ def has_local_rep(g: Graph, field: PrimeField, ell: int, dim_cap: Optional[int] 
 # -- minrank via independent representations ----------------------------------
 
 
+class _SpanTable:
+    """The projective points of F^t, numbered in the candidate order of
+    find_independent_rep, with the subspaces its search meets.
+
+    Point j is the j-th vector with leading coefficient 1 in lexicographic
+    order, so the points of the standard subspace span(e_1..e_r) come in the
+    lexicographic order of their first r coordinates.  index and point
+    convert by arithmetic, so no list of F^t is built.  A subspace is keyed
+    by its reduced echelon rows and known by an id; span[id] is the bitmask
+    of its points, and extend(id, j) is the id of the subspace spanned by it
+    and point j, memoised per pair.  The points that point j adds are those
+    of point(j) + span(id), one per vector of the old span, so a new mask is
+    built by listing them.  Arithmetic is plain %, as in _TupleSpace."""
+
+    def __init__(self, p: int, t: int):
+        self.p = p
+        self.t = t
+        self.keys: list = [()]
+        self.ids = {(): 0}
+        self.span = [0]
+        self._ext: list = [{}]
+        self._standard = [0]
+
+    def index(self, v: Sequence[int]) -> int:
+        """Number of the point on the line through the nonzero vector v."""
+        p = self.p
+        lead = next(k for k, x in enumerate(v) if x)
+        scale = pow(v[lead], p - 2, p)
+        j = 0
+        for x in v[lead + 1:]:
+            j = j * p + x * scale % p
+        return self.unit(lead) + j
+
+    def unit(self, r: int) -> int:
+        """Number of the point e_{r+1}, the first with its leading 1 at r.
+        The points with a later leading 1 come before it, p^0 + p^1 + ...
+        + p^(t-2-r) of them."""
+        return (self.p ** (self.t - 1 - r) - 1) // (self.p - 1)
+
+    def point(self, j: int) -> tuple:
+        """The vector numbered j; the inverse of index."""
+        p, lead, size = self.p, self.t - 1, 1
+        while j >= size:
+            j -= size
+            lead -= 1
+            size *= p
+        tail = []
+        for _ in range(self.t - 1 - lead):
+            j, x = divmod(j, p)
+            tail.append(x)
+        return (0,) * lead + (1,) + tuple(reversed(tail))
+
+    def standard(self, r: int) -> int:
+        """Id of span(e_1..e_r), built on first use."""
+        while len(self._standard) <= r:
+            self._standard.append(self.extend(self._standard[-1], self.unit(len(self._standard) - 1)))
+        return self._standard[r]
+
+    def extend(self, key: int, j: int) -> int:
+        nxt = self._ext[key].get(j)
+        if nxt is None:
+            nxt = self._ext[key][j] = key if self.span[key] >> j & 1 else self._insert(key, j)
+        return nxt
+
+    def _insert(self, key: int, j: int) -> int:
+        """Id of span(key) + point j, for point j outside span(key)."""
+        p = self.p
+        old, vec = self.keys[key], self.point(j)
+        v = list(vec)
+        for row in old:
+            c = v[row.index(1)]  # a reduced row's first nonzero is its pivot 1
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        new = _projective(v, p)
+        pivot = new.index(1)
+        rows = [tuple((x - row[pivot] * y) % p for x, y in zip(row, new)) if row[pivot] else row for row in old]
+        rows = tuple(sorted(rows + [new], reverse=True))  # pivots ascending
+        nxt = self.ids.get(rows)
+        if nxt is None:
+            mask = self.span[key]
+            for coeffs in itertools.product(range(p), repeat=len(old)):
+                w = vec
+                for c, row in zip(coeffs, old):
+                    if c:
+                        w = tuple((x + c * y) % p for x, y in zip(w, row))
+                mask |= 1 << self.index(w)
+            nxt = self.ids[rows] = len(self.keys)
+            self.keys.append(rows)
+            self.span.append(mask)
+            self._ext.append({})
+        return nxt
+
+
+@functools.lru_cache(maxsize=16)
+def _span_table(p: int, t: int) -> _SpanTable:
+    return _SpanTable(p, t)
+
+
 def find_independent_rep(g: Graph, field: PrimeField, t: int) -> Optional[Representation]:
     """Backtracking search for a t-dimensional independent representation of g.
 
@@ -474,58 +583,52 @@ def find_independent_rep(g: Graph, field: PrimeField, t: int) -> Optional[Repres
     per-vertex scaling, so vectors are enumerated in a normal form: each new
     vector is either inside the span of the previously assigned ones (support
     in the first r coordinates, leading coefficient 1) or the fresh basis
-    vector e_{r+1}."""
+    vector e_{r+1}.
+
+    Each vertex carries the span of its assigned neighbors' vectors as a
+    subspace id of the (p, t) span table, so both independence tests are bit
+    tests and backtracking restores the old ids."""
     n = g.n
     if n == 0:
         return Representation(field, t, (), kind="independent")
     if t < 1:
         return None
-    q = field.size
+    if field.size is None:
+        raise ValueError("searches require a finite prime field")
+    tab = _span_table(field.size, t)
+    span, extend = tab.span, tab.extend
     order = _search_order(g)
-    assigned: dict[int, tuple] = {}
-    nbr_basis = [EchelonBasis(field, t) for _ in range(n)]
-
-    span_cands: list[list[tuple]] = [[]]  # per rank r: projective vectors with support in first r coords
-    for r in range(1, t + 1):
-        reps = []
-        for v in itertools.product(range(q), repeat=r):
-            if next((x for x in v if x), None) == 1:
-                reps.append(tuple(v) + (0,) * (t - r))
-        span_cands.append(reps)
+    nbrs = [_bits(g.adj[v]) for v in range(n)]
+    nbr_span = [0] * n  # subspace id of the span of each vertex's assigned neighbors
+    chosen = [-1] * n  # point index per assigned vertex
 
     def rec(i: int, rank: int) -> bool:
         if i == n:
             return True
         v = order[i]
-        options = [(vec, rank) for vec in span_cands[rank]]
-        if rank < t:
-            fresh = [field.zero] * t
-            fresh[rank] = field.one
-            options.append((tuple(fresh), rank + 1))
-        for vec, new_rank in options:
-            if nbr_basis[v].contains(vec):
-                continue
-            # adding vec to neighbors' spans must not swallow an assigned neighbor
-            saved = []
-            ok = True
-            for u in _bits(g.adj[v]):
-                saved.append((u, nbr_basis[u].copy()))
-                nbr_basis[u].add(vec)
-                if u in assigned and nbr_basis[u].contains(assigned[u]):
-                    ok = False
+        options = _bits(span[tab.standard(rank)] & ~span[nbr_span[v]])
+        fresh = tab.unit(rank) if rank < t else None
+        if fresh is not None:
+            options.append(fresh)  # never in the span of earlier vectors
+        for c in options:
+            saved = [nbr_span[u] for u in nbrs[v]]
+            for u in nbrs[v]:
+                nbr_span[u] = extend(nbr_span[u], c)
+                # the new vector must not swallow an assigned neighbor
+                if chosen[u] >= 0 and span[nbr_span[u]] >> chosen[u] & 1:
                     break
-            if ok:
-                assigned[v] = vec
-                if rec(i + 1, new_rank):
+            else:
+                chosen[v] = c
+                if rec(i + 1, rank + (c == fresh)):
                     return True
-                del assigned[v]
-            for u, old in saved:
-                nbr_basis[u] = old
+                chosen[v] = -1
+            for u, old in zip(nbrs[v], saved):
+                nbr_span[u] = old
         return False
 
     if not rec(0, 0):
         return None
-    return Representation(field, t, tuple(assigned[v] for v in range(n)), kind="independent")
+    return Representation(field, t, tuple(tab.point(c) for c in chosen), kind="independent")
 
 
 def minrank(g: Graph, field: PrimeField, cap: int = DEFAULT_MINRANK_CAP) -> ParamResult:

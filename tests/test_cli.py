@@ -159,6 +159,21 @@ def test_index_code_deterministic_for_fixed_seed(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_negative_counts_are_usage_errors(tmp_path, capsys):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    assert run_cli(["index-code", str(g), "--field", "2", "--simulate", "-3"]) == 2
+    assert "--simulate must be at least 0" in capsys.readouterr().err
+    assert run_cli(["solve", "od-local", str(g), "--dim-cap", "0"]) == 2
+    assert "--dim-cap must be at least 1" in capsys.readouterr().err
+    assert run_cli(["solve", "od-local", str(g), "--dim-cap", "two"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    # the smallest accepted values still run
+    assert run_cli(["index-code", str(g), "--field", "2", "--simulate", "0"]) == 0
+    assert run_cli(["solve", "od-local", str(g), "--dim-cap", "1", "--field", "3"]) == 3
+    capsys.readouterr()
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run_cli(["solve", "chi", "/nonexistent.dimacs"]) == 2
     capsys.readouterr()

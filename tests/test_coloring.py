@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
 from orthograph.coloring import (
     CapExceededError,
@@ -78,6 +82,37 @@ def test_k_colorable_decision():
     assert num_colors(colors) <= 3
     assert k_colorable(empty_graph(3), 1) is not None
     assert k_colorable(complete_graph(3), 2) is None
+
+
+def test_k_colorable_long_cycles_need_no_recursion():
+    # one search frame per colored vertex, 1,000 deep
+    c1000 = cycle_graph(1000)
+    colors = k_colorable(c1000, 3)
+    assert colors is not None
+    check_proper(c1000, colors)
+    assert colors[:4] == [0, 1, 0, 1]
+    assert k_colorable(cycle_graph(1001), 2) is None
+    assert num_colors(k_colorable(cycle_graph(1001), 3)) == 3
+
+
+def test_k_colorable_colorings_are_pinned():
+    # every answer on the atlas graphs with at most 6 vertices for k = 2, 3, 4,
+    # in atlas order; the digest was taken from the recursive search
+    out = []
+    for nxg in graph_atlas_g():
+        if nxg.number_of_nodes() > 6:
+            break
+        g = Graph(nxg.number_of_nodes(), list(nxg.edges()))
+        for k in (2, 3, 4):
+            colors = k_colorable(g, k)
+            if colors is not None:
+                check_proper(g, colors)
+                assert num_colors(colors) <= k
+            out.append(colors)
+    assert len(out) == 627 and sum(c is None for c in out) == 197
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "f2621d951f768c96b07117b07aa5f9129207c9ea868e4702fd6a877d28524a90"
+    assert k_colorable(cycle_graph(5), 3) == [0, 1, 0, 1, 2]
 
 
 def test_chromatic_number_classics():

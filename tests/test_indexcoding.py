@@ -3,13 +3,17 @@ construction routes, and randomized compression."""
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from orthograph.fields import GF2, PrimeField
-from orthograph.graphs import complement, complete_graph, cycle_graph, empty_graph
+from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph
 from orthograph.indexcoding import (
     IndexCode,
     RepresentingPatternError,
+    _smallest_combination,
     build_code,
     check_representing,
     code_by_method,
@@ -203,3 +207,47 @@ def test_vandermonde_vectors_feed_local_coloring():
     code = code_from_local_coloring(c4, colors, vectors, GF5)
     assert code.length <= 2
     assert simulate(code, 30, seed=5).failures == 0
+
+
+def _scan_smallest_combination(p: int, basis, target):
+    """Reference: scan all p^k coefficient vectors of span(basis) for the
+    lexicographically smallest y with <y, target> != 0, or None."""
+    best = None
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        y = tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(len(target)))
+        if sum(a * b for a, b in zip(y, target)) % p and (best is None or y < best):
+            best = y
+    return best
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_smallest_combination_agrees_with_scan(p):
+    rng = random.Random(p)
+    field = PrimeField(p)
+    raised = found = 0
+    for _ in range(400):
+        t = rng.randint(0, 5)
+        k = rng.randint(0, 4 if p <= 3 else 3)
+        # sparse entries make dependent bases and orthogonal targets common
+        basis = [tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(t)) for _ in range(k)]
+        target = tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(t))
+        want = _scan_smallest_combination(p, basis, target)
+        if want is None:
+            raised += 1
+            with pytest.raises(ValueError, match="no dual vector"):
+                _smallest_combination(field, basis, target)
+        else:
+            found += 1
+            assert _smallest_combination(field, basis, target) == want, (basis, target)
+    assert raised > 50 and found > 50
+
+
+def test_representing_matrix_of_star_over_gf31_is_pinned():
+    # the complement of K3 + K1, where a scan over the 31^k nullspace
+    # vectors takes seconds; the matrix is the one that scan picked
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    code = code_by_method(star, PrimeField(31), "compress", seed=0)
+    assert code.matrix.rows == ((15, 15, 12, 29), (13, 13, 0, 0), (0, 0, 9, 0), (0, 0, 0, 4))
+    assert code.encode_matrix.rows == ((15, 15, 12, 29), (13, 13, 0, 0), (0, 0, 9, 0))
+    assert code.decode_coeffs == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (29, 19, 13))
+    assert simulate(code, 20, seed=1).failures == 0

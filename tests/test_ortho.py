@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 from networkx.generators.atlas import graph_atlas_g
@@ -195,6 +198,105 @@ def test_find_independent_rep_edgeless_needs_one_dimension():
     rep = find_independent_rep(empty_graph(5), GF5, 1)
     assert rep is not None
     assert independence_violations(empty_graph(5), rep) == []
+
+
+def _gf_rank(vectors, p: int) -> int:
+    """Rank over GF(p) by plain elimination, independent of orthograph."""
+    rows = [list(v) for v in vectors]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] % p:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _brute_force_independent_rep_exists(g: Graph, p: int, t: int) -> bool:
+    """Whether some assignment of vectors of GF(p)^t is an independent
+    representation of g.  Tries every assignment of vectors with leading
+    coefficient 1 (scaling a vector changes no span)."""
+    if g.n == 0:
+        return True
+    vecs = [v for v in itertools.product(range(p), repeat=t) if next((x for x in v if x), None) == 1]
+    nbrs = [[u for u in range(g.n) if g.has_edge(u, v)] for v in range(g.n)]
+
+    @functools.lru_cache(maxsize=None)
+    def outside(v: tuple, span: frozenset) -> bool:
+        return _gf_rank(list(span) + [v], p) > _gf_rank(list(span), p)
+
+    return any(
+        all(outside(a[v], frozenset(a[u] for u in nbrs[v])) for v in range(g.n))
+        for a in itertools.product(vecs, repeat=g.n)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_find_independent_rep_agrees_with_brute_force(p):
+    field = PrimeField(p)
+    for nxg in graph_atlas_g():
+        if nxg.number_of_nodes() > 4:
+            break
+        g = Graph(nxg.number_of_nodes(), list(nxg.edges()))
+        for t in range(4):
+            rep = find_independent_rep(g, field, t)
+            assert (rep is not None) == _brute_force_independent_rep_exists(g, p, t), (g.edges(), p, t)
+            if rep is not None:
+                assert rep.t == t and rep.kind == "independent"
+                assert independence_violations(g, rep) == []
+
+
+def test_find_independent_rep_witnesses_are_pinned():
+    # every witness (or refutation) on the atlas graphs with at most 5
+    # vertices, over GF(2), GF(3) and GF(5), for every t from 0 to n; the
+    # digest was taken from the search that copied an echelon basis per node
+    out = []
+    for p in (2, 3, 5):
+        for nxg in graph_atlas_g():
+            if nxg.number_of_nodes() > 5:
+                break
+            g = Graph(nxg.number_of_nodes(), list(nxg.edges()))
+            for t in range(g.n + 1):
+                rep = find_independent_rep(g, PrimeField(p), t)
+                out.append(None if rep is None else [list(v) for v in rep.vectors])
+    assert len(out) == 852
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "d9c0f776dfbe238850925b358ce19aac4ffee981523940c09229fbce3b7cb2f3"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_find_independent_rep_skips_vectors_in_the_neighbor_span(p):
+    # 7-vertex graphs whose first witness in F^3 depends on skipping the
+    # vectors already in a vertex's neighbor span (graphs up to 6 vertices
+    # never do); witnesses pinned from the echelon-basis search
+    cases = [
+        ([(1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 4), (5, 6)], "3122331"),
+        ([(0, 1), (0, 4), (1, 4), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)], "2323113"),
+    ]
+    e = {"1": (1, 0, 0), "2": (0, 1, 0), "3": (0, 0, 1)}
+    for edges, pinned in cases:
+        g = Graph(7, edges)
+        assert find_independent_rep(g, PrimeField(p), 2) is None
+        rep = find_independent_rep(g, PrimeField(p), 3)
+        assert rep.vectors == tuple(e[x] for x in pinned)
+        assert independence_violations(g, rep) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_minrank_petersen_witness_is_pinned(p):
+    res = minrank(kneser(5, 2), PrimeField(p))
+    assert res.value == 5
+    e = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    assert res.witness == (e[0], e[1], e[2], e[3], e[3], e[1], e[4], e[4], e[2], e[0])
+    rep = Representation(PrimeField(p), 5, res.witness, kind="independent")
+    assert independence_violations(complement(kneser(5, 2)), rep) == []
 
 
 def test_minrank_baselines():
