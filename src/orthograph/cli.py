@@ -105,6 +105,8 @@ def cmd_gen(args) -> int:
             g = cycle_graph(*_ints(params, 1))
         else:
             raise UsageError(f"unknown family {args.family!r}")
+    except CapExceededError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _write_output(write_dimacs(g), args.output)
@@ -191,15 +193,26 @@ def cmd_solve(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
+def _rows(value, scalars: tuple) -> bool:
+    """Whether a JSON value is a list of lists of the given scalar types."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(isinstance(x, scalars) for x in row) for row in value
+    )
+
+
 def _verify_certificate(cert: dict, g: Graph) -> list[str]:
     """Re-check a solve certificate against its graph; empty list means valid."""
     param = cert.get("param")
     value = cert.get("value")
     witness = cert.get("witness", {})
+    if not isinstance(witness, dict):
+        return ["witness is not a JSON object"]
     out: list[str] = []
     try:
         if param in ("chi", "chi-local"):
             colors = witness["coloring"]
+            if not _rows([colors], (int,)):
+                return ["witness coloring is not a list of integers"]
             measured = num_colors(colors) if param == "chi" else coloring_locality(g, colors)
             if param == "chi":
                 coloring_locality(g, colors)  # properness check
@@ -207,7 +220,11 @@ def _verify_certificate(cert: dict, g: Graph) -> list[str]:
                 out.append(f"witness achieves {measured}, certificate claims {value}")
         elif param in ("od", "od-local", "minrank"):
             field = field_from_name(cert["field"])
+            # entries are integers, and over Q also strings such as "1/2"
+            scalars = (int,) if isinstance(field, PrimeField) else (int, str)
             t = witness["t"]
+            if not isinstance(t, int) or not _rows(witness["vectors"], scalars):
+                return ["witness needs an integer t and a list of vectors of field elements"]
             rep_kind = "independent" if param == "minrank" else "orthogonal"
             rep = Representation(field, t, tuple(tuple(v) for v in witness["vectors"]), kind=rep_kind)
             if param == "od":
@@ -234,10 +251,15 @@ def _verify_index_code(cert: dict, g: Graph) -> list[str]:
     out: list[str] = []
     try:
         field = _prime_field(cert["field"])
+        for key in ("representingMatrix", "encodeMatrix", "decodeCoeffs"):
+            if not _rows(cert[key], (int,)):
+                return [f"{key} is not a list of integer rows"]
         m = Matrix(field, tuple(tuple(r) for r in cert["representingMatrix"]))
         check_representing(g, m)
         b = Matrix(field, tuple(tuple(r) for r in cert["encodeMatrix"]))
         coeffs = tuple(tuple(c) for c in cert["decodeCoeffs"])
+        if len(coeffs) != g.n:
+            return [f"{len(coeffs)} rows of decode coefficients, graph has {g.n} vertices"]
         for i in range(g.n):
             recon = tuple(
                 field.inner(coeffs[i], col) for col in zip(*b.rows)
@@ -257,6 +279,9 @@ def cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         cert = json.load(fh)
     g = _load_graph(args.graph)
+    if not isinstance(cert, dict):
+        print("unrecognized certificate layout", file=sys.stderr)
+        return EXIT_USAGE
     if "param" in cert:
         errors = _verify_certificate(cert, g)
     elif "representingMatrix" in cert:

@@ -13,15 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, _bits
+from .graphs import CapExceededError, Graph, _bits
 
 DEFAULT_CHI_CAP = 64
 DEFAULT_CHI_LOCAL_CAP = 56
 DEFAULT_CLIQUE_CAP = 64
-
-
-class CapExceededError(ValueError):
-    """Instance exceeds the configured exact-solver size cap."""
 
 
 class ImproperColoringError(ValueError):

@@ -167,6 +167,8 @@ QQ = RationalField()
 
 def field_from_name(name: str) -> Field:
     """Parse a field tag as it appears on the command line and in JSON: '2', '5', ..., 'Q'."""
+    if not isinstance(name, str):
+        raise ValueError(f"field tag {name!r} is not a string")
     if name.strip().upper() == "Q":
         return QQ
     try:

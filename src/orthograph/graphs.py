@@ -17,6 +17,10 @@ from typing import Iterable, Optional, Sequence
 MAX_VERTICES = 4096
 
 
+class CapExceededError(ValueError):
+    """Instance exceeds a configured size cap: MAX_VERTICES or an exact solver's."""
+
+
 class DimacsParseError(ValueError):
     """Malformed DIMACS input; message carries the line number."""
 
@@ -32,8 +36,10 @@ class Graph:
     __slots__ = ("n", "adj", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Optional[Sequence] = None):
-        if n < 0 or n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
+        if n > MAX_VERTICES:
+            raise CapExceededError(f"vertex count {n} exceeds MAX_VERTICES = {MAX_VERTICES}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

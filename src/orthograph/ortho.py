@@ -9,27 +9,32 @@ one representative per scalar class (scaling a vector by a nonzero field
 element changes nothing), restrict to anisotropic vectors, and break the
 coordinate-permutation symmetry on the first assigned vertex.
 
-The candidates of F^t live in a table built once per (p, t) and kept in a
-small LRU cache.  Sets of candidates are int bitmasks over the candidate
-list, with orthogonality masks built per candidate on first use and span
-masks memoised per echelon basis.  find_orthogonal_rep keeps a domain mask
-per unassigned vertex: assigning a vector ANDs its orthogonality mask into
-the domains of the unassigned neighbors, and a closed neighborhood whose
-rank reaches the locality bound ANDs its span mask into the domains of its
+All searches over F^t share one table per (p, t), kept in a small LRU
+cache.  It numbers the projective points of F^t (the vectors with leading
+coefficient 1) in lexicographic order, by arithmetic, so no list of F^t is
+built.  A set of points is an int bitmask over these numbers, and ascending
+bit order is the order in which candidates are tried.  The table interns
+the subspaces the searches meet, each as an id with the mask of its points
+and its rank, and memoises the subspace a point extends each one to.  It
+also holds the mask of the anisotropic points and, built on first use, the
+mask of the anisotropic points orthogonal to each point.
+
+find_orthogonal_rep keeps a domain mask per unassigned vertex, starting at
+the anisotropic points.  Assigning a vector ANDs its orthogonality mask
+into the domains of the unassigned neighbors.  Each closed neighborhood
+holds the subspace id of its assigned vectors' span; once its rank reaches
+the locality bound, its span mask is ANDed into the domains of its
 unassigned vertices.  An empty domain backtracks at once (forward
 checking).  Vertices follow a static order and each domain is walked in
-candidate order, so pruning only cuts subtrees without a solution and the
+point order, so pruning only cuts subtrees without a solution and the
 first witness found does not depend on it.
 
-find_independent_rep (the minrank search) uses a second table per (p, t).
-It numbers the projective points of F^t in lexicographic order, by
-arithmetic rather than by listing F^t, so the points with support in the
-first r coordinates come in the order the normal form tries them.  Subspaces are interned by their reduced echelon rows, each with a
-bitmask of its points and a memoised map from (subspace, point) to the
-subspace the point extends it to.  Each vertex holds the id of the span of
-its assigned neighbors' vectors, so testing that a vector avoids that span,
-and that it does not pull an assigned neighbor's vector into the
-neighbor's span, are bit tests; backtracking restores the old ids.
+find_independent_rep (the minrank search) tries the points of
+span(e_1..e_r) outside a vertex's neighbor span, then the fresh point
+e_{r+1}.  Each vertex holds the subspace id of the span of its assigned
+neighbors' vectors, so testing that a vector avoids that span, and that it
+does not pull an assigned neighbor's vector into the neighbor's span, are
+bit tests; backtracking restores the old ids.
 
 Rational vectors are accepted for verification only: they certify
 statements over the reals exactly, but are never searched for.
@@ -144,43 +149,7 @@ def coloring_to_rep(g: Graph, colors: Sequence[int], field: Field) -> Representa
     return Representation(field, t, tuple(vecs))
 
 
-# -- candidate tables ---------------------------------------------------------
-
-
-class _Table:
-    """The candidate vectors of F^t with the bitmasks the searches filter by.
-
-    Bit j of a mask stands for cands[j], so ascending bit order is candidate
-    order.  first_cands lists the candidate indices tried for the first
-    vertex.  orth_mask(j) holds the candidates orthogonal to cands[j] and is
-    built on first use; span_mask(basis) holds the candidates in the span of
-    an echelon basis and is memoised per basis."""
-
-    def __init__(self, t: int, cands: list, first_cands: list):
-        self.t = t
-        self.cands = cands
-        self.index = {v: j for j, v in enumerate(cands)}
-        self.first_cands = [self.index[v] for v in first_cands]
-        self.full = (1 << len(cands)) - 1
-        self._orth: list = [None] * len(cands)
-        self._span: dict = {}
-
-    def orth_mask(self, j: int) -> int:
-        m = self._orth[j]
-        if m is None:
-            m = self._orth[j] = self._orth_mask(self.cands[j])
-        return m
-
-    def span_mask(self, basis: tuple) -> int:
-        m = self._span.get(basis)
-        if m is None:
-            m = 0
-            for v in self._span_vectors(basis):
-                j = self.index.get(v)
-                if j is not None:
-                    m |= 1 << j
-            self._span[basis] = m
-        return m
+# -- the subspace table -------------------------------------------------------
 
 
 def _projective(v: tuple, p: int) -> tuple:
@@ -189,112 +158,152 @@ def _projective(v: tuple, p: int) -> tuple:
     return tuple(scale * x % p for x in v)
 
 
-class _BitSpace(_Table):
-    """GF(2)-specific backend: vectors are int bitmasks, rank via xor echelon."""
+class _SpanTable:
+    """The projective points of F^t, numbered in candidate order, with the
+    subspaces the searches meet.
 
-    def __init__(self, t: int):
-        super().__init__(
-            t,
-            [v for v in range(1, 1 << t) if v.bit_count() & 1],
-            # one representative per coordinate-permutation orbit: weight-w suffix blocks
-            [(1 << w) - 1 for w in range(1, t + 1, 2)],
-        )
+    Point j is the j-th vector with leading coefficient 1 in lexicographic
+    order, so the points of the standard subspace span(e_1..e_r) come in the
+    lexicographic order of their first r coordinates.  index and point
+    convert by arithmetic, so no list of F^t is built.  A subspace is keyed
+    by its reduced echelon rows and known by an id, 0 being the zero space;
+    span[id] is the bitmask of its points, rank[id] its dimension, and
+    extend(id, j) the id of the subspace spanned by it and point j, memoised
+    per pair.  The points that point j adds are those of point(j) + span(id),
+    one per vector of the old span, so a new mask is built by listing them.
 
-    def _orth_mask(self, v: int) -> int:
-        m = 0
-        for j, u in enumerate(self.cands):
-            if not (u & v).bit_count() & 1:
-                m |= 1 << j
-        return m
+    aniso is the mask of the anisotropic points, and orth_mask(j), built on
+    first use, the mask of the anisotropic points orthogonal to point j.
+    first_cands lists the points tried for the first vertex of an orthogonal
+    search: the anisotropic nondecreasing vectors (one per orbit of the
+    coordinate permutations), each scaled to leading coefficient 1.
 
-    @staticmethod
-    def _span_vectors(basis: tuple) -> list:
-        span = [0]
-        for row in basis:
-            span += [x ^ row for x in span]
-        return span
-
-    @staticmethod
-    def reduce(basis: tuple, v: int) -> int:
-        for row in basis:
-            if v >> (row.bit_length() - 1) & 1:
-                v ^= row
-        return v
-
-    @classmethod
-    def extend(cls, basis: tuple, v: int) -> tuple:
-        r = cls.reduce(basis, v)
-        if r == 0:
-            return basis
-        out = list(basis)
-        out.append(r)
-        out.sort(key=int.bit_length, reverse=True)
-        return tuple(out)
-
-    def to_tuple(self, v: int) -> tuple:
-        return tuple(v >> i & 1 for i in range(self.t))
-
-
-class _TupleSpace(_Table):
-    """Generic prime-field backend: vectors are tuples, echelon with leading-1 rows."""
+    Arithmetic is plain %, not PrimeField's: a table is cached across
+    searches, so field-operation counts taken per search must not include
+    its construction."""
 
     def __init__(self, p: int, t: int):
         self.p = p
-        # plain modular arithmetic: the benchmark trace counts PrimeField
-        # calls per search, and a cached table is built only once
-        cands = [  # anisotropic, one representative per scalar class
-            v
-            for v in itertools.product(range(p), repeat=t)
-            if next((x for x in v if x), 0) == 1 and sum(x * x for x in v) % p
-        ]
-        firsts = [v for v in itertools.combinations_with_replacement(range(p), t) if sum(x * x for x in v) % p]
-        super().__init__(t, cands, list(dict.fromkeys(_projective(v, p) for v in firsts)))
+        self.t = t
+        self.keys: list = [()]
+        self.ids = {(): 0}
+        self.span = [0]
+        self.rank = [0]
+        self._ext: list = [{}]
+        self._standard = [0]
+        self._orth: dict = {}
 
-    def _orth_mask(self, v: tuple) -> int:
-        p = self.p
-        m = 0
-        for j, u in enumerate(self.cands):
-            if not sum(a * b for a, b in zip(u, v)) % p:
+    def points(self):
+        """The points in number order."""
+        for lead in range(self.t - 1, -1, -1):
+            head = (0,) * lead + (1,)
+            for tail in itertools.product(range(self.p), repeat=self.t - 1 - lead):
+                yield head + tail
+
+    @functools.cached_property
+    def aniso(self) -> int:
+        p, m = self.p, 0
+        for j, v in enumerate(self.points()):
+            if sum(x * x for x in v) % p:
                 m |= 1 << j
         return m
 
-    def _span_vectors(self, basis: tuple) -> list:
+    @functools.cached_property
+    def first_cands(self) -> list:
         p = self.p
-        span = [(0,) * self.t]
-        for row, _ in basis:
-            span = [tuple((x + c * y) % p for x, y in zip(v, row)) for v in span for c in range(p)]
-        return [_projective(v, p) for v in span if any(v)]
+        firsts = itertools.combinations_with_replacement(range(p), self.t)
+        return list(dict.fromkeys(self.index(v) for v in firsts if sum(x * x for x in v) % p))
 
-    def reduce(self, basis: tuple, v: tuple):
+    def orth_mask(self, j: int) -> int:
+        m = self._orth.get(j)
+        if m is None:
+            p, v, m = self.p, self.point(j), 0
+            for k, u in enumerate(self.points()):
+                if not sum(a * b for a, b in zip(u, v)) % p:
+                    m |= 1 << k
+            m = self._orth[j] = m & self.aniso
+        return m
+
+    def index(self, v: Sequence[int]) -> int:
+        """Number of the point on the line through the nonzero vector v."""
         p = self.p
-        v = list(v)
-        for row, pivot in basis:
-            c = v[pivot]
+        lead = next(k for k, x in enumerate(v) if x)
+        scale = pow(v[lead], p - 2, p)
+        j = 0
+        for x in v[lead + 1:]:
+            j = j * p + x * scale % p
+        return self.unit(lead) + j
+
+    def unit(self, r: int) -> int:
+        """Number of the point e_{r+1}, the first with its leading 1 at r.
+        The points with a later leading 1 come before it, p^0 + p^1 + ...
+        + p^(t-2-r) of them."""
+        return (self.p ** (self.t - 1 - r) - 1) // (self.p - 1)
+
+    def point(self, j: int) -> tuple:
+        """The vector numbered j; the inverse of index."""
+        p, lead, size = self.p, self.t - 1, 1
+        while j >= size:
+            j -= size
+            lead -= 1
+            size *= p
+        tail = []
+        for _ in range(self.t - 1 - lead):
+            j, x = divmod(j, p)
+            tail.append(x)
+        return (0,) * lead + (1,) + tuple(reversed(tail))
+
+    def standard(self, r: int) -> int:
+        """Id of span(e_1..e_r), built on first use."""
+        while len(self._standard) <= r:
+            self._standard.append(self.extend(self._standard[-1], self.unit(len(self._standard) - 1)))
+        return self._standard[r]
+
+    def extend(self, key: int, j: int) -> int:
+        nxt = self._ext[key].get(j)
+        if nxt is None:
+            nxt = self._ext[key][j] = key if self.span[key] >> j & 1 else self._insert(key, j)
+        return nxt
+
+    def _insert(self, key: int, j: int) -> int:
+        """Id of span(key) + point j, for point j outside span(key)."""
+        p = self.p
+        old, vec = self.keys[key], self.point(j)
+        v = list(vec)
+        for row in old:
+            c = v[row.index(1)]  # a reduced row's first nonzero is its pivot 1
             if c:
-                for j in range(pivot, self.t):
-                    v[j] = (v[j] - c * row[j]) % p
-        return tuple(v)
-
-    def extend(self, basis: tuple, v: tuple) -> tuple:
-        r = self.reduce(basis, v)
-        pivot = next((j for j, x in enumerate(r) if x), None)
-        if pivot is None:
-            return basis
-        return basis + ((_projective(r, self.p), pivot),)
-
-    def to_tuple(self, v: tuple) -> tuple:
-        return v
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        new = _projective(v, p)
+        pivot = new.index(1)
+        rows = [tuple((x - row[pivot] * y) % p for x, y in zip(row, new)) if row[pivot] else row for row in old]
+        rows = tuple(sorted(rows + [new], reverse=True))  # pivots ascending
+        nxt = self.ids.get(rows)
+        if nxt is None:
+            mask = self.span[key]
+            for coeffs in itertools.product(range(p), repeat=len(old)):
+                w = vec
+                for c, row in zip(coeffs, old):
+                    if c:
+                        w = tuple((x + c * y) % p for x, y in zip(w, row))
+                mask |= 1 << self.index(w)
+            nxt = self.ids[rows] = len(self.keys)
+            self.keys.append(rows)
+            self.span.append(mask)
+            self.rank.append(len(rows))
+            self._ext.append({})
+        return nxt
 
 
 @functools.lru_cache(maxsize=16)
-def _table(p: int, t: int) -> _Table:
-    return _BitSpace(t) if p == 2 else _TupleSpace(p, t)
+def _span_table(p: int, t: int) -> _SpanTable:
+    return _SpanTable(p, t)
 
 
-def _space(field: PrimeField, t: int) -> _Table:
+def _space(field: PrimeField, t: int) -> _SpanTable:
     if field.size is None:
         raise ValueError("searches require a finite prime field")
-    return _table(field.size, t)
+    return _span_table(field.size, t)
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -352,20 +361,20 @@ def find_orthogonal_rep(
         unplaced &= ~(1 << v)
         rest.append(unplaced)
     later_nbrs = [_bits(g.adj[v] & rest[i]) for i, v in enumerate(order)]
-    cands, extend, orth_mask, span_mask = tab.cands, tab.extend, tab.orth_mask, tab.span_mask
+    span, rank, extend, orth_mask = tab.span, tab.rank, tab.extend, tab.orth_mask
     chosen = [0] * n
 
-    def place(i: int, vec, dom: list, bases: list) -> bool:
-        """Add vec to the bases of order[i]'s closed neighborhoods; a basis
-        reaching `locality` confines its unassigned vertices to its span."""
+    def place(i: int, c: int, dom: list, spans: list) -> bool:
+        """Add point c to the spans of order[i]'s closed neighborhoods; a span
+        reaching rank `locality` confines its unassigned vertices to its points."""
         for w in closed_bits[order[i]]:
-            if len(bases[w]) < locality:  # a full basis already holds vec
-                b = bases[w] = extend(bases[w], vec)
-                if len(b) == locality and not _narrow(dom, _bits(closed[w] & rest[i]), span_mask(b)):
+            if rank[spans[w]] < locality:  # a full span already holds c
+                s = spans[w] = extend(spans[w], c)
+                if rank[s] == locality and not _narrow(dom, _bits(closed[w] & rest[i]), span[s]):
                     return False
         return True
 
-    def rec(i: int, dom: list, bases: Optional[list]) -> bool:
+    def rec(i: int, dom: list, spans: Optional[list]) -> bool:
         if i == n:
             return True
         v = order[i]
@@ -373,20 +382,21 @@ def find_orthogonal_rep(
             nd = dom[:]
             if not _narrow(nd, later_nbrs[i], orth_mask(c)):
                 continue
-            nb = bases
-            if bases is not None:
-                nb = bases[:]
-                if not place(i, cands[c], nd, nb):
+            ns = spans
+            if spans is not None:
+                ns = spans[:]
+                if not place(i, c, nd, ns):
                     continue
             chosen[v] = c
-            if rec(i + 1, nd, nb):
+            if rec(i + 1, nd, ns):
                 return True
         return False
 
-    bases = [()] * n if locality is not None else None
-    if not rec(0, [tab.full] * n, bases):
+    # spans[w]: subspace id of the span of w's closed neighborhood so far
+    spans = [0] * n if locality is not None else None
+    if not rec(0, [tab.aniso] * n, spans):
         return None
-    return Representation(field, t, tuple(tab.to_tuple(cands[c]) for c in chosen))
+    return Representation(field, t, tuple(tab.point(c) for c in chosen))
 
 
 def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):
@@ -396,12 +406,13 @@ def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):
     n = g.n
     earlier = [_bits(g.adj[v] & ((1 << v) - 1)) for v in range(n)]
     chosen = [0] * n
+    point = functools.lru_cache(maxsize=None)(tab.point)  # a point recurs in many yields
 
     def rec(v: int):
         if v == n:
-            yield Representation(field, t, tuple(tab.to_tuple(tab.cands[c]) for c in chosen))
+            yield Representation(field, t, tuple(point(c) for c in chosen))
             return
-        dom = tab.full
+        dom = tab.aniso
         for u in earlier[v]:
             dom &= tab.orth_mask(chosen[u])
         for c in _bits(dom):
@@ -478,104 +489,6 @@ def has_local_rep(g: Graph, field: PrimeField, ell: int, dim_cap: Optional[int] 
 # -- minrank via independent representations ----------------------------------
 
 
-class _SpanTable:
-    """The projective points of F^t, numbered in the candidate order of
-    find_independent_rep, with the subspaces its search meets.
-
-    Point j is the j-th vector with leading coefficient 1 in lexicographic
-    order, so the points of the standard subspace span(e_1..e_r) come in the
-    lexicographic order of their first r coordinates.  index and point
-    convert by arithmetic, so no list of F^t is built.  A subspace is keyed
-    by its reduced echelon rows and known by an id; span[id] is the bitmask
-    of its points, and extend(id, j) is the id of the subspace spanned by it
-    and point j, memoised per pair.  The points that point j adds are those
-    of point(j) + span(id), one per vector of the old span, so a new mask is
-    built by listing them.  Arithmetic is plain %, as in _TupleSpace."""
-
-    def __init__(self, p: int, t: int):
-        self.p = p
-        self.t = t
-        self.keys: list = [()]
-        self.ids = {(): 0}
-        self.span = [0]
-        self._ext: list = [{}]
-        self._standard = [0]
-
-    def index(self, v: Sequence[int]) -> int:
-        """Number of the point on the line through the nonzero vector v."""
-        p = self.p
-        lead = next(k for k, x in enumerate(v) if x)
-        scale = pow(v[lead], p - 2, p)
-        j = 0
-        for x in v[lead + 1:]:
-            j = j * p + x * scale % p
-        return self.unit(lead) + j
-
-    def unit(self, r: int) -> int:
-        """Number of the point e_{r+1}, the first with its leading 1 at r.
-        The points with a later leading 1 come before it, p^0 + p^1 + ...
-        + p^(t-2-r) of them."""
-        return (self.p ** (self.t - 1 - r) - 1) // (self.p - 1)
-
-    def point(self, j: int) -> tuple:
-        """The vector numbered j; the inverse of index."""
-        p, lead, size = self.p, self.t - 1, 1
-        while j >= size:
-            j -= size
-            lead -= 1
-            size *= p
-        tail = []
-        for _ in range(self.t - 1 - lead):
-            j, x = divmod(j, p)
-            tail.append(x)
-        return (0,) * lead + (1,) + tuple(reversed(tail))
-
-    def standard(self, r: int) -> int:
-        """Id of span(e_1..e_r), built on first use."""
-        while len(self._standard) <= r:
-            self._standard.append(self.extend(self._standard[-1], self.unit(len(self._standard) - 1)))
-        return self._standard[r]
-
-    def extend(self, key: int, j: int) -> int:
-        nxt = self._ext[key].get(j)
-        if nxt is None:
-            nxt = self._ext[key][j] = key if self.span[key] >> j & 1 else self._insert(key, j)
-        return nxt
-
-    def _insert(self, key: int, j: int) -> int:
-        """Id of span(key) + point j, for point j outside span(key)."""
-        p = self.p
-        old, vec = self.keys[key], self.point(j)
-        v = list(vec)
-        for row in old:
-            c = v[row.index(1)]  # a reduced row's first nonzero is its pivot 1
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        new = _projective(v, p)
-        pivot = new.index(1)
-        rows = [tuple((x - row[pivot] * y) % p for x, y in zip(row, new)) if row[pivot] else row for row in old]
-        rows = tuple(sorted(rows + [new], reverse=True))  # pivots ascending
-        nxt = self.ids.get(rows)
-        if nxt is None:
-            mask = self.span[key]
-            for coeffs in itertools.product(range(p), repeat=len(old)):
-                w = vec
-                for c, row in zip(coeffs, old):
-                    if c:
-                        w = tuple((x + c * y) % p for x, y in zip(w, row))
-                mask |= 1 << self.index(w)
-            nxt = self.ids[rows] = len(self.keys)
-            self.keys.append(rows)
-            self.span.append(mask)
-            self._ext.append({})
-        return nxt
-
-
-@functools.lru_cache(maxsize=16)
-def _span_table(p: int, t: int) -> _SpanTable:
-    return _SpanTable(p, t)
-
-
 def find_independent_rep(g: Graph, field: PrimeField, t: int) -> Optional[Representation]:
     """Backtracking search for a t-dimensional independent representation of g.
 
@@ -593,9 +506,7 @@ def find_independent_rep(g: Graph, field: PrimeField, t: int) -> Optional[Repres
         return Representation(field, t, (), kind="independent")
     if t < 1:
         return None
-    if field.size is None:
-        raise ValueError("searches require a finite prime field")
-    tab = _span_table(field.size, t)
+    tab = _space(field, t)
     span, extend = tab.span, tab.extend
     order = _search_order(g)
     nbrs = [_bits(g.adj[v]) for v in range(n)]

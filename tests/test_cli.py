@@ -4,6 +4,7 @@ round trips through an independent verify invocation."""
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -92,6 +93,49 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("param, field, corrupt", [
+    ("chi", [], lambda cert: cert["witness"].update(coloring=None)),
+    ("chi-local", [], lambda cert: cert.update(witness=cert["witness"]["coloring"])),
+    ("od", ["--field", "3"], lambda cert: cert["witness"]["vectors"].__setitem__(0, "abc")),
+    ("minrank", ["--field", "3"], lambda cert: cert.update(field=3)),
+])
+def test_verify_fails_cleanly_on_malformed_certificates(tmp_path, capsys, param, field, corrupt):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(["solve", param, str(g), *field, "-o", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    corrupt(cert)
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run_cli(["verify", str(cert_path), str(g)]) == 1
+    out = capsys.readouterr()
+    assert "verification FAILED" in out.out
+    assert out.err.startswith("verify: ")
+
+
+def test_verify_rejects_a_certificate_that_is_not_an_object(tmp_path, capsys):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 2 1\ne 1 2\n")
+    cert_path = tmp_path / "cert.json"
+    for cert in ('"param"', "[1, 2]"):
+        cert_path.write_text(cert)
+        assert run_cli(["verify", str(cert_path), str(g)]) == 2
+        assert "unrecognized certificate layout" in capsys.readouterr().err
+
+
+def test_reduce_past_the_vertex_cap_is_a_cap_hit(tmp_path, capsys):
+    # a 20-variable, 60-clause 3-CNF: G' has 4,423 vertices, above MAX_VERTICES
+    rng = random.Random(7)
+    clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 21), 3)] for _ in range(60)]
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 20 60\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+    assert run_cli(["reduce", str(cnf), "--stage", "Gprime", "-o", str(tmp_path / "g.dimacs")]) == 3
+    assert "cap exceeded: vertex count 4423" in capsys.readouterr().err
+    assert run_cli(["gen", "empty", "--", "-1"]) == 2
+    assert "negative vertex count" in capsys.readouterr().err
+
+
 def test_solve_cap_exceeded_exit_code(tmp_path, capsys):
     edges = [(u, v) for u in range(1, 14) for v in range(u + 1, 14)]
     lines = [f"p edge 13 {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
@@ -145,6 +189,22 @@ def test_index_code_json_and_verify(tmp_path, capsys):
     assert payload["simulation"] == {"trials": 50, "failures": 0, "length": 3}
     assert run_cli(["verify", str(out), str(g)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value", [("representingMatrix", None), ("decodeCoeffs", [[1, 0, 0]])])
+def test_verify_fails_cleanly_on_malformed_index_codes(tmp_path, capsys, key, value):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    out = tmp_path / "code.json"
+    assert run_cli(["index-code", str(g), "--field", "2", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload[key] = value
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["verify", str(out), str(g)]) == 1
+    res = capsys.readouterr()
+    assert "verification FAILED" in res.out
+    assert res.err.startswith("verify: ")
 
 
 def test_index_code_deterministic_for_fixed_seed(tmp_path):

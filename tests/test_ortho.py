@@ -95,7 +95,7 @@ def test_find_orthogonal_rep_over_gf3():
 
 
 def test_enumerate_orthogonal_reps_counts_scalar_classes():
-    # single vertex in GF(2)^2: the only anisotropic vectors are 01 and 11
+    # single vertex in GF(2)^2: the only anisotropic vectors are 10 and 01
     reps = list(enumerate_orthogonal_reps(empty_graph(1), GF2, 2))
     assert len(reps) == 2
     # an edge in GF(3)^2: anisotropic projective points are (1,0),(0,1),(1,1),(1,2);
@@ -183,6 +183,32 @@ def test_find_orthogonal_rep_agrees_with_brute_force(p, max_n):
                 if rep is not None:
                     assert orthogonality_violations(g, rep) == []
                     assert ell is None or rep_locality(g, rep) <= ell
+
+
+def test_find_orthogonal_rep_witnesses_are_pinned():
+    # every witness (or refutation) on the atlas graphs with at most 5
+    # vertices, for t up to 5 over GF(2), 4 over GF(3) and 3 over GF(5), and
+    # the order enumerate_orthogonal_reps yields in F^3 on the atlas graphs
+    # with at most 4 vertices.  The digest was taken from the search that kept
+    # GF(2) vectors as int bitmasks: GF(3) and GF(5) match it exactly, GF(2)
+    # with each vector's coordinates reversed (its candidate order read
+    # coordinate 0 as the least significant bit)
+    atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in graph_atlas_g() if h.number_of_nodes() <= 5]
+    out = []
+    for p, max_t in ((2, 5), (3, 4), (5, 3)):
+        for g in atlas:
+            for t in range(1, max_t + 1):
+                for ell in (None, 1, 2, 3):
+                    rep = find_orthogonal_rep(g, PrimeField(p), t, locality=ell)
+                    out.append(None if rep is None else [list(v) for v in rep.vectors])
+    for p in (2, 3):
+        for g in atlas:
+            if g.n <= 4:
+                reps = enumerate_orthogonal_reps(g, PrimeField(p), 3)
+                out.append([[list(v) for v in rep.vectors] for rep in reps])
+    assert len(out) == 2582
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "7e7e14d96a8139da99233d3a531921b76d9d3c1bcbbf8b3409cc5ed70e692ef3"
 
 
 def test_find_independent_rep_dimension_threshold():
