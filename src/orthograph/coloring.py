@@ -6,6 +6,8 @@ colors on a closed neighborhood.  No published algorithm exists for the
 exact local chromatic number; the decision procedure here backtracks over
 proper colorings with at most n colors, introduces a new color only as the
 smallest unused index, and prunes on per-closed-neighborhood color counts.
+Both backtracking searches update their state at each assignment and undo
+it on backtrack, so no search node rescans the graph.
 """
 
 from __future__ import annotations
@@ -114,29 +116,24 @@ def max_clique(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> ParamResult:
 
 
 def greedy_coloring(g: Graph) -> list[int]:
-    """DSATUR greedy; proper, not necessarily optimal."""
-    n = g.n
-    colors = [-1] * n
-    sat = [0] * n  # bitmask of neighbor colors
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (sat[u].bit_count(), g.degree(u), -u),
-        )
-        c = 0
-        while sat[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        for u in _bits(g.adj[v]):
-            sat[u] |= 1 << c
-    return colors
+    """DSATUR greedy; proper, not necessarily optimal.  It is the DSATUR
+    search with n colors, which never backtracks."""
+    return _dsatur(g, g.n)
 
 
 def k_colorable(g: Graph, k: int) -> Optional[list[int]]:
     """Backtracking k-colorability decision with DSATUR branching and
     smallest-unused-index symmetry breaking; returns a coloring or None.
-    The search keeps an explicit stack, so its depth is not bounded by the
-    interpreter's recursion limit."""
+    Each branching pick costs O(k), from the saturation buckets of _dsatur."""
+    return _dsatur(g, k)
+
+
+def _dsatur(g: Graph, k: int) -> Optional[list[int]]:
+    """The search behind k_colorable, on an explicit stack (no recursion
+    limit).  Its branching vertex, with the most neighbor colors, then the
+    highest degree, then the lowest index, is the lowest bit of the highest
+    non-empty bucket[s]: the uncolored vertices with s neighbor colors, as
+    bits over ranks by (-degree, index)."""
     n = g.n
     if n == 0:
         return []
@@ -144,30 +141,26 @@ def k_colorable(g: Graph, k: int) -> Optional[list[int]]:
         return None
     colors = [-1] * n
     sat = [0] * n
-    neg_degree = [-g.degree(u) for u in range(n)]
+    nbrs = [_bits(a) for a in g.adj]
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    rank_bit = {v: 1 << r for r, v in enumerate(order)}
+    bucket = [(1 << n) - 1] + [0] * min(k, g.degree(order[0]))
     used = 0
-
-    def pick() -> Optional[int]:
-        best_v, best_key = None, None
-        for u in range(n):
-            if colors[u] >= 0:
-                continue
-            key = (-(sat[u].bit_count()), neg_degree[u], u)
-            if best_key is None or key < best_key:
-                best_v, best_key = u, key
-        return best_v
-
     # one frame per colored vertex: [vertex, color limit, color tried,
     # `used` before it, neighbors whose saturation it set (None: no color on)]
-    stack = [[pick(), min(k, used + 1), 0, 0, None]]
+    stack = [[order[0], 1, 0, 0, None]]
     while stack:
         frame = stack[-1]
         v, limit, c, prev_used, touched = frame
         if touched is not None:  # undo the color tried last, then try the next
             for u in touched:
-                sat[u] &= ~(1 << c)
+                s = sat[u].bit_count()
+                bucket[s] ^= rank_bit[u]
+                bucket[s - 1] |= rank_bit[u]
+                sat[u] ^= 1 << c
             used = prev_used
             colors[v] = -1
+            bucket[sat[v].bit_count()] |= rank_bit[v]
             c += 1
         while c < limit and sat[v] >> c & 1:
             c += 1
@@ -175,23 +168,27 @@ def k_colorable(g: Graph, k: int) -> Optional[list[int]]:
             stack.pop()
             continue
         colors[v] = c
+        bucket[sat[v].bit_count()] ^= rank_bit[v]
         frame[2:] = c, used, []
         used = max(used, c + 1)
         touched = frame[4]
         dead = False
-        for u in _bits(g.adj[v]):
+        for u in nbrs[v]:
             if colors[u] < 0 and not (sat[u] >> c & 1):
+                s = sat[u].bit_count()
+                bucket[s] ^= rank_bit[u]
+                bucket[s + 1] |= rank_bit[u]
                 sat[u] |= 1 << c
                 touched.append(u)
-                # u has no color left once all k colors hit it
-                if sat[u] == (1 << k) - 1:
-                    dead = True
+                dead = dead or s + 1 == k  # all k colors hit u
         if dead:
             continue
-        w = pick()
-        if w is None:
+        for b in reversed(bucket):
+            if b:
+                stack.append([order[(b & -b).bit_length() - 1], min(k, used + 1), 0, 0, None])
+                break
+        else:
             return colors.copy()
-        stack.append([w, min(k, used + 1), 0, 0, None])
     return None
 
 
@@ -221,10 +218,12 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
     """Proper coloring of g whose every closed neighborhood carries at most
     ell distinct colors, or None if none exists.
 
-    Backtracking with most-constrained-vertex branching.  Colors on saturated
-    closed neighborhoods (already ell distinct colors) constrain every
-    uncolored member to those colors, which is the main pruning device.
-    """
+    Backtracking with most-constrained-vertex branching (the first vertex in
+    index order with the fewest options).  Colors on saturated closed
+    neighborhoods (already ell distinct colors) constrain every uncolored
+    member to those colors, which is the main pruning device; a bitmask of
+    the saturated neighborhoods lets each vertex read only its saturated
+    ones.  Undoing a color clears exactly the bits its assignment set."""
     n = g.n
     if n == 0:
         return []
@@ -233,67 +232,67 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
     if max_colors is None:
         max_colors = n  # any proper coloring can be assumed to use <= n colors
     closed = [g.closed(v) for v in range(n)]
+    members = [_bits(m) for m in closed]
+    nbrs = [_bits(a) for a in g.adj]
     colors = [-1] * n
-    nbr_mask = [0] * n  # colors taken by assigned neighbors
+    nbr_mask = [0] * n  # colors taken by assigned neighbors, for uncolored vertices
     seen_mask = [0] * n  # colors among assigned vertices of the closed neighborhood
-    seen_cnt = [0] * n
+    saturated = 0  # closed neighborhoods (by center) with at least ell colors
     used = 0
 
-    def allowed(v: int) -> tuple[int, bool]:
-        mask = ((1 << used) - 1) & ~nbr_mask[v]
-        can_new = used < max_colors
-        for w in _bits(closed[v]):
-            if seen_cnt[w] >= ell:
-                mask &= seen_mask[w]
-                can_new = False
-        return mask, can_new
-
     def rec() -> bool:
-        nonlocal used
-        best_v, best_opts, best_cnt = None, None, None
+        nonlocal used, saturated
+        free = (1 << used) - 1
+        any_new = used < max_colors
+        best_v, best_cnt = None, n + 2
         for v in range(n):
             if colors[v] >= 0:
                 continue
-            mask, can_new = allowed(v)
-            cnt = mask.bit_count() + (1 if can_new else 0)
-            if cnt == 0:
-                return False
-            if best_cnt is None or cnt < best_cnt:
-                best_v, best_opts, best_cnt = v, (mask, can_new), cnt
+            mask = free & ~nbr_mask[v]
+            full = closed[v] & saturated
+            can_new = any_new and not full
+            while full:
+                w = full & -full
+                full ^= w
+                mask &= seen_mask[w.bit_length() - 1]
+            cnt = mask.bit_count() + can_new
+            if cnt < best_cnt:
+                if cnt == 0:
+                    return False
+                best_v, best_mask, best_new, best_cnt = v, mask, can_new, cnt
                 if cnt == 1:
                     break
         if best_v is None:
             return True
         v = best_v
-        mask, can_new = best_opts
-        options = _bits(mask)
-        if can_new:
+        options = _bits(best_mask)
+        if best_new:
             options.append(used)
         for c in options:
+            bit = 1 << c
             colors[v] = c
-            prev_used = used
-            used = max(used, c + 1)
-            touched = []
-            for w in _bits(closed[v]):
-                if not (seen_mask[w] >> c & 1):
-                    seen_mask[w] |= 1 << c
-                    seen_cnt[w] += 1
+            prev_used, used = used, max(used, c + 1)
+            ok, touched = True, []
+            for w in members[v]:
+                if not seen_mask[w] & bit:
+                    seen_mask[w] |= bit
                     touched.append(w)
-            for u in _bits(g.adj[v]):
-                nbr_mask[u] |= 1 << c
-            ok = all(seen_cnt[w] <= ell for w in touched)
+                    if seen_mask[w].bit_count() >= ell:
+                        saturated |= 1 << w
+                        ok = ok and seen_mask[w].bit_count() == ell
+            hit = [u for u in nbrs[v] if colors[u] < 0 and not nbr_mask[u] & bit]
+            for u in hit:
+                nbr_mask[u] |= bit
             if ok and rec():
                 return True
             for w in touched:
-                seen_mask[w] &= ~(1 << c)
-                seen_cnt[w] -= 1
-            for u in _bits(g.adj[v]):
-                nbr_mask[u] = 0
-                for x in _bits(g.adj[u]):
-                    if colors[x] >= 0 and x != v:
-                        nbr_mask[u] |= 1 << colors[x]
+                seen_mask[w] ^= bit
+                if seen_mask[w].bit_count() < ell:
+                    saturated &= ~(1 << w)
+            for u in hit:
+                nbr_mask[u] ^= bit
             used = prev_used
-            colors[v] = -1
+        colors[v] = -1
         return False
 
     return colors.copy() if rec() else None

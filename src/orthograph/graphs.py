@@ -241,11 +241,6 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), edges, labels=labels)
 
 
-def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
-    """New graph with vertex v renamed mapping[v]."""
-    return Graph(g.n, [(mapping[u], mapping[v]) for u, v in g.edges()])
-
-
 # -- DIMACS and JSON ----------------------------------------------------------
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 from networkx.generators.atlas import graph_atlas_g
@@ -31,6 +33,18 @@ from orthograph.graphs import (
     kneser,
     schrijver,
 )
+from orthograph.reduction import Cnf, build_g
+
+
+def _atlas(max_n: int):
+    for nxg in graph_atlas_g():
+        if nxg.number_of_nodes() > max_n:
+            return
+        yield Graph(nxg.number_of_nodes(), list(nxg.edges()))
+
+
+def _digest(out) -> str:
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
 
 
 def test_check_proper_accepts_and_rejects():
@@ -71,6 +85,19 @@ def test_max_clique_witness_is_a_clique():
 def test_greedy_coloring_is_proper():
     for g in (cycle_graph(7), kneser(5, 2), complete_graph(6)):
         check_proper(g, greedy_coloring(g))
+
+
+def test_greedy_coloring_is_pinned():
+    # DSATUR order: most neighbor colors, then highest degree, then lowest index
+    out = []
+    for g in _atlas(6):
+        colors = greedy_coloring(g)
+        check_proper(g, colors)
+        out.append(colors)
+    assert len(out) == 209
+    assert _digest(out) == "5074452a33779261c4992ab9bd92ffc56ad77f9db626d637647a0d8ad363c37b"
+    # the triangle's degree-3 vertex first, then vertex 2 (degree 2, lower index than 3)
+    assert greedy_coloring(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 1)])) == [1, 0, 1, 2]
 
 
 def test_k_colorable_decision():
@@ -115,6 +142,42 @@ def test_k_colorable_colorings_are_pinned():
     assert k_colorable(cycle_graph(5), 3) == [0, 1, 0, 1, 2]
 
 
+def _random_3cnf(seed: int, num_vars: int) -> list[tuple[int, ...]]:
+    rng = random.Random(seed)
+    return [
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3))
+        for _ in range(round(4.3 * num_vars))
+    ]
+
+
+def _satisfiable(num_vars: int, clauses) -> bool:
+    return any(
+        all(any((lit > 0) == a[abs(lit) - 1] for lit in c) for c in clauses)
+        for a in itertools.product((False, True), repeat=num_vars)
+    )
+
+
+def test_reduction_graph_colorings_are_pinned():
+    # 3-colorings of the 189- to 238-vertex reduction graphs of seeded 3-CNFs,
+    # large sparse graphs on which every vertex's saturation changes often
+    cases = [(8, 0, True), (8, 2, False), (9, 3, True), (9, 5, False),
+             (10, 1, True), (10, 4, True), (10, 24, False)]
+    out = []
+    for num_vars, seed, sat in cases:
+        clauses = _random_3cnf(seed, num_vars)
+        assert _satisfiable(num_vars, clauses) == sat
+        g = build_g(Cnf(num_vars, clauses)).graph
+        assert g.n == 3 + 2 * num_vars + 5 * len(clauses)
+        colors = k_colorable(g, 3)
+        assert (colors is not None) == sat
+        if colors is not None:
+            check_proper(g, colors)
+        greedy = greedy_coloring(g)
+        check_proper(g, greedy)
+        out.append([colors, greedy])
+    assert _digest(out) == "689fa48fb0eaf2065611d5ca854259949d60cbe5b9d5490ed2778211007adaf5"
+
+
 def test_chromatic_number_classics():
     assert chromatic_number(empty_graph(5)).value == 1
     assert chromatic_number(complete_graph(6)).value == 6
@@ -142,6 +205,36 @@ def test_locality_decision_on_odd_cycle():
     colors = locality_decision(c5, 3)
     assert colors is not None
     assert coloring_locality(c5, colors) <= 3
+
+
+def _brute_locality(g: Graph, ell: int, max_colors) -> bool:
+    # every coloring up to renaming colors: restricted growth strings
+    colorings = [[]]
+    for _ in range(g.n):
+        colorings = [c + [x] for c in colorings for x in range(max(c, default=-1) + 2)]
+    return any(
+        is_proper(g, c) and num_colors(c) <= max_colors and coloring_locality(g, c) <= ell
+        for c in colorings
+    )
+
+
+def test_locality_decision_answers_are_pinned():
+    # every answer on the atlas graphs with at most 6 vertices, in atlas order;
+    # decisions on graphs with at most 5 vertices also match brute force
+    out = []
+    for g in _atlas(6):
+        for ell in (1, 2, 3, 4):
+            for max_colors in (None, 2, 3):
+                colors = locality_decision(g, ell, max_colors)
+                if colors is not None:
+                    assert coloring_locality(g, colors) <= ell
+                    assert num_colors(colors) <= (g.n if max_colors is None else max_colors)
+                if g.n <= 5:
+                    bound = g.n if max_colors is None else max_colors
+                    assert (colors is not None) == _brute_locality(g, ell, bound)
+                out.append(colors)
+    assert len(out) == 2508 and sum(c is None for c in out) == 1477
+    assert _digest(out) == "f1df20ceb2ef3a04d3fbb49f0e01a18014327a1291b9b1538d2bf6d63f4b1f1a"
 
 
 def test_locality_can_beat_color_count():
