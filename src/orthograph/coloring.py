@@ -199,9 +199,13 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> ParamResult:
         raise CapExceededError(f"chromatic_number cap {cap} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("chi", 0, (), "exhausted-search")
+    return _chromatic_number(g, max_clique(g, cap=cap).value)
+
+
+def _chromatic_number(g: Graph, omega: int) -> ParamResult:
+    """chromatic_number on a nonempty graph whose clique number is omega."""
     ub_witness = greedy_coloring(g)
     ub = num_colors(ub_witness)
-    omega = max_clique(g, cap=cap).value
     reason = "clique"
     for k in range(omega, ub):
         found = k_colorable(g, k)
@@ -223,7 +227,8 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
     neighborhoods (already ell distinct colors) constrain every uncolored
     member to those colors, which is the main pruning device; a bitmask of
     the saturated neighborhoods lets each vertex read only its saturated
-    ones.  Undoing a color clears exactly the bits its assignment set."""
+    ones.  Undoing a color clears exactly the bits its assignment set.  The
+    search runs on an explicit stack, so it has no recursion limit."""
     n = g.n
     if n == 0:
         return []
@@ -240,8 +245,9 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
     saturated = 0  # closed neighborhoods (by center) with at least ell colors
     used = 0
 
-    def rec() -> bool:
-        nonlocal used, saturated
+    def branch():
+        """A frame for the most constrained uncolored vertex, True once every
+        vertex is colored, or None when some vertex has no option left."""
         free = (1 << used) - 1
         any_new = used < max_colors
         best_v, best_cnt = None, n + 2
@@ -258,44 +264,61 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
             cnt = mask.bit_count() + can_new
             if cnt < best_cnt:
                 if cnt == 0:
-                    return False
+                    return None
                 best_v, best_mask, best_new, best_cnt = v, mask, can_new, cnt
                 if cnt == 1:
                     break
         if best_v is None:
             return True
-        v = best_v
         options = _bits(best_mask)
         if best_new:
             options.append(used)
-        for c in options:
-            bit = 1 << c
-            colors[v] = c
-            prev_used, used = used, max(used, c + 1)
-            ok, touched = True, []
-            for w in members[v]:
-                if not seen_mask[w] & bit:
-                    seen_mask[w] |= bit
-                    touched.append(w)
-                    if seen_mask[w].bit_count() >= ell:
-                        saturated |= 1 << w
-                        ok = ok and seen_mask[w].bit_count() == ell
-            hit = [u for u in nbrs[v] if colors[u] < 0 and not nbr_mask[u] & bit]
-            for u in hit:
-                nbr_mask[u] |= bit
-            if ok and rec():
-                return True
+        return [best_v, options, 0, used, (), ()]
+
+    # one frame per colored vertex: [vertex, its options, next option,
+    # `used` before it, closed neighborhoods and neighbors the last option marked]
+    stack: list = []
+    top = branch()
+    while True:
+        if top is True:
+            return colors.copy()
+        if top is not None:
+            stack.append(top)
+        if not stack:
+            return None
+        frame = stack[-1]
+        v, options, k, used, touched, hit = frame
+        if colors[v] >= 0:  # undo the option tried last
+            bit = 1 << colors[v]
             for w in touched:
                 seen_mask[w] ^= bit
                 if seen_mask[w].bit_count() < ell:
                     saturated &= ~(1 << w)
             for u in hit:
                 nbr_mask[u] ^= bit
-            used = prev_used
-        colors[v] = -1
-        return False
-
-    return colors.copy() if rec() else None
+        if k == len(options):
+            colors[v] = -1
+            stack.pop()
+            top = None
+            continue
+        c = options[k]
+        frame[2] = k + 1
+        bit = 1 << c
+        colors[v] = c
+        used = max(used, c + 1)
+        ok, touched = True, []
+        for w in members[v]:
+            if not seen_mask[w] & bit:
+                seen_mask[w] |= bit
+                touched.append(w)
+                if seen_mask[w].bit_count() >= ell:
+                    saturated |= 1 << w
+                    ok = ok and seen_mask[w].bit_count() == ell
+        hit = [u for u in nbrs[v] if colors[u] < 0 and not nbr_mask[u] & bit]
+        for u in hit:
+            nbr_mask[u] |= bit
+        frame[4:] = touched, hit
+        top = branch() if ok else None
 
 
 def local_lower_bound(g: Graph, omega: Optional[int] = None) -> tuple[int, str]:
@@ -321,7 +344,7 @@ def local_chromatic_number(g: Graph, cap: int = DEFAULT_CHI_LOCAL_CAP) -> ParamR
         return ParamResult("chi_local", 0, (), "exhausted-search")
     omega = max_clique(g, cap=max(cap, g.n)).value
     lb, reason = local_lower_bound(g, omega)
-    chi = chromatic_number(g, cap=max(cap, g.n))
+    chi = _chromatic_number(g, omega)
     ub_witness = list(chi.witness)
     ub = coloring_locality(g, ub_witness)
     for ell in range(lb, ub):

@@ -1,14 +1,25 @@
 """Dense exact linear algebra over a field: rank, nullspace, echelon bases,
-and the deterministic vector-family constructions (Vandermonde, greedy
-Schulman families, seeded random matrices).
+the subspace table of F^t, and the deterministic vector-family
+constructions (Vandermonde, greedy Schulman families, seeded random
+matrices).
 
 Vectors are tuples of canonical field values; matrices are tuples of row
 tuples.  Gaussian elimination always pivots on the first nonzero entry in
 scan order, so every result is deterministic across runs and platforms.
+
+There are two elimination kernels, one per job.  EchelonBasis is exact over
+any field, Q included: it verifies witnesses and builds codes
+(build_code, nullspace_basis, solve_row).  _SpanTable numbers the
+projective points of GF(p)^t and interns subspaces as bitmasks over them;
+every search over GF(p) runs on it, the greedy Schulman family included.
+indexcoding._smallest_combination stays Gaussian elimination: a table over
+F^t grows exponentially in t, and the index codes over GF(31) would pay for
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -127,23 +138,13 @@ class EchelonBasis:
 
 def rank(m: Matrix) -> int:
     """Row rank by Gaussian elimination, first-nonzero pivoting."""
-    basis = EchelonBasis(m.field, m.ncols)
-    for r in m.rows:
-        basis.add(r)
-    return basis.dim
-
-
-def row_space(m: Matrix) -> EchelonBasis:
-    basis = EchelonBasis(m.field, m.ncols)
-    for r in m.rows:
-        basis.add(r)
-    return basis
+    return EchelonBasis(m.field, m.ncols, m.rows).dim
 
 
 def nullspace_basis(m: Matrix) -> list[Vector]:
     """Basis of {x : M x = 0}, one vector per free column, deterministic."""
     f = m.field
-    reduced = row_space(m)
+    reduced = EchelonBasis(m.field, m.ncols, m.rows)
     n = m.ncols
     pivot_of = {p: row for row, p in zip(reduced.rows, reduced.pivots)}
     free_cols = [j for j in range(n) if j not in pivot_of]
@@ -177,6 +178,159 @@ def solve_row(basis_rows: Sequence[Sequence], target: Sequence, field: Field):
     return tuple(field.neg(x) for x in res[width:])
 
 
+# -- the subspace table -------------------------------------------------------
+
+
+def _projective(v: tuple, p: int) -> tuple:
+    """The multiple of a nonzero vector over GF(p) with leading coefficient 1."""
+    scale = pow(next(x for x in v if x), p - 2, p)
+    return tuple(scale * x % p for x in v)
+
+
+class _SpanTable:
+    """The projective points of F^t, numbered in candidate order, with the
+    subspaces the searches meet.
+
+    Point j is the j-th vector with leading coefficient 1 in lexicographic
+    order, so the points of the standard subspace span(e_1..e_r) come in the
+    lexicographic order of their first r coordinates.  index and point
+    convert by arithmetic, so no list of F^t is built.  A subspace is keyed
+    by its reduced echelon rows and known by an id, 0 being the zero space;
+    span[id] is the bitmask of its points, rank[id] its dimension, and
+    extend(id, j) the id of the subspace spanned by it and point j, memoised
+    per pair.  The points that point j adds are those of point(j) + span(id),
+    one per vector of the old span, so a new mask is built by listing them.
+
+    aniso is the mask of the anisotropic points, and orth_mask(j), built on
+    first use, the mask of the anisotropic points orthogonal to point j.
+    first_cands lists the points tried for the first vertex of an orthogonal
+    search: the anisotropic nondecreasing vectors (one per orbit of the
+    coordinate permutations), each scaled to leading coefficient 1.
+
+    _span_table keeps the tables of the searches in ortho in a 16-entry LRU
+    cache; schulman_vectors builds its own, so it evicts none of them.
+    Arithmetic is plain %, not PrimeField's: a table is cached across
+    searches, so field-operation counts taken per search must not include
+    its construction."""
+
+    def __init__(self, p: int, t: int):
+        self.p = p
+        self.t = t
+        self.keys: list = [()]
+        self.ids = {(): 0}
+        self.span = [0]
+        self.rank = [0]
+        self._ext: list = [{}]
+        self._standard = [0]
+        self._orth: dict = {}
+
+    def points(self):
+        """The points in number order."""
+        for lead in range(self.t - 1, -1, -1):
+            head = (0,) * lead + (1,)
+            for tail in itertools.product(range(self.p), repeat=self.t - 1 - lead):
+                yield head + tail
+
+    @functools.cached_property
+    def aniso(self) -> int:
+        p, m = self.p, 0
+        for j, v in enumerate(self.points()):
+            if sum(x * x for x in v) % p:
+                m |= 1 << j
+        return m
+
+    @functools.cached_property
+    def first_cands(self) -> list:
+        p = self.p
+        firsts = itertools.combinations_with_replacement(range(p), self.t)
+        return list(dict.fromkeys(self.index(v) for v in firsts if sum(x * x for x in v) % p))
+
+    def orth_mask(self, j: int) -> int:
+        m = self._orth.get(j)
+        if m is None:
+            p, v, m = self.p, self.point(j), 0
+            for k, u in enumerate(self.points()):
+                if not sum(a * b for a, b in zip(u, v)) % p:
+                    m |= 1 << k
+            m = self._orth[j] = m & self.aniso
+        return m
+
+    def index(self, v: Sequence[int]) -> int:
+        """Number of the point on the line through the nonzero vector v."""
+        p = self.p
+        lead = next(k for k, x in enumerate(v) if x)
+        scale = pow(v[lead], p - 2, p)
+        j = 0
+        for x in v[lead + 1:]:
+            j = j * p + x * scale % p
+        return self.unit(lead) + j
+
+    def unit(self, r: int) -> int:
+        """Number of the point e_{r+1}, the first with its leading 1 at r.
+        The points with a later leading 1 come before it, p^0 + p^1 + ...
+        + p^(t-2-r) of them."""
+        return (self.p ** (self.t - 1 - r) - 1) // (self.p - 1)
+
+    def point(self, j: int) -> tuple:
+        """The vector numbered j; the inverse of index."""
+        p, lead, size = self.p, self.t - 1, 1
+        while j >= size:
+            j -= size
+            lead -= 1
+            size *= p
+        tail = []
+        for _ in range(self.t - 1 - lead):
+            j, x = divmod(j, p)
+            tail.append(x)
+        return (0,) * lead + (1,) + tuple(reversed(tail))
+
+    def standard(self, r: int) -> int:
+        """Id of span(e_1..e_r), built on first use."""
+        while len(self._standard) <= r:
+            self._standard.append(self.extend(self._standard[-1], self.unit(len(self._standard) - 1)))
+        return self._standard[r]
+
+    def extend(self, key: int, j: int) -> int:
+        nxt = self._ext[key].get(j)
+        if nxt is None:
+            nxt = self._ext[key][j] = key if self.span[key] >> j & 1 else self._insert(key, j)
+        return nxt
+
+    def _insert(self, key: int, j: int) -> int:
+        """Id of span(key) + point j, for point j outside span(key)."""
+        p = self.p
+        old, vec = self.keys[key], self.point(j)
+        v = list(vec)
+        for row in old:
+            c = v[row.index(1)]  # a reduced row's first nonzero is its pivot 1
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        new = _projective(v, p)
+        pivot = new.index(1)
+        rows = [tuple((x - row[pivot] * y) % p for x, y in zip(row, new)) if row[pivot] else row for row in old]
+        rows = tuple(sorted(rows + [new], reverse=True))  # pivots ascending
+        nxt = self.ids.get(rows)
+        if nxt is None:
+            mask = self.span[key]
+            for coeffs in itertools.product(range(p), repeat=len(old)):
+                w = vec
+                for c, row in zip(coeffs, old):
+                    if c:
+                        w = tuple((x + c * y) % p for x, y in zip(w, row))
+                mask |= 1 << self.index(w)
+            nxt = self.ids[rows] = len(self.keys)
+            self.keys.append(rows)
+            self.span.append(mask)
+            self.rank.append(len(rows))
+            self._ext.append({})
+        return nxt
+
+
+@functools.lru_cache(maxsize=16)
+def _span_table(p: int, t: int) -> _SpanTable:
+    return _SpanTable(p, t)
+
+
 def vandermonde(m: int, ell: int, field: PrimeField) -> list[Vector]:
     """m vectors (1, a, a^2, ..., a^(ell-1)) at the first m field elements.
 
@@ -196,19 +350,16 @@ def vandermonde(m: int, ell: int, field: PrimeField) -> list[Vector]:
     return out
 
 
-def all_vectors(field: PrimeField, t: int):
-    """All of F^t in odometer order (last coordinate fastest)."""
-    return itertools.product(range(field.size), repeat=t)
-
-
 def schulman_vectors(sets: Sequence[Iterable[int]], m: int, ell: int, field: PrimeField) -> list[Vector]:
     """Greedy family u_0..u_{m-1} in F^t, t = ell + ceil(log_q h), such that
     for every given subset H of range(m) the vectors {u_i : i in H} are
     linearly independent.
 
     Each u_j is the lexicographically smallest nonzero vector of F^t outside
-    span({u_i : i in H, i < j}) for every H containing j.  The counting bound
-    h*q^(ell-1) < q^t guarantees the greedy choice never gets stuck.
+    span({u_i : i in H, i < j}) for every H containing j: the lowest point
+    of the span table outside those spans, since a line's smallest vector is
+    its point and points are numbered in lexicographic order.  The counting
+    bound h*q^(ell-1) < q^t guarantees the greedy choice never gets stuck.
     """
     q = field.size
     sets = [sorted(set(h)) for h in sets]
@@ -218,26 +369,19 @@ def schulman_vectors(sets: Sequence[Iterable[int]], m: int, ell: int, field: Pri
         if h and (h[0] < 0 or h[-1] >= m):
             raise ValueError("constraint set element out of range")
     t = ell + ceil_log(q, len(sets))
-    zero_vec = (field.zero,) * t
-    out: list[Vector] = []
+    # uncached: in the LRU of _span_table it would evict the searches' tables
+    tab = _SpanTable(q, t)
+    chosen: list[int] = []
     for j in range(m):
-        spans = []
+        taken = 0
         for h in sets:
             if j in h:
-                b = EchelonBasis(field, t)
-                for i in h:
-                    if i < j:
-                        b.add(out[i])
-                spans.append(b)
-        for cand in all_vectors(field, t):
-            if cand == zero_vec:
-                continue
-            if all(not b.contains(cand) for b in spans):
-                out.append(cand)
-                break
-        else:  # pragma: no cover - impossible by the counting bound
+                taken |= tab.span[functools.reduce(tab.extend, [chosen[i] for i in h if i < j], 0)]
+        c = (~taken & (taken + 1)).bit_length() - 1  # the lowest point outside
+        if c >= (q**t - 1) // (q - 1):  # pragma: no cover - impossible by the counting bound
             raise RuntimeError("greedy choice failed; counting bound violated")
-    return out
+        chosen.append(c)
+    return [tab.point(c) for c in chosen]
 
 
 def verify_family(sets: Sequence[Iterable[int]], vectors: Sequence[Vector], field: Field) -> bool:

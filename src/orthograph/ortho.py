@@ -9,15 +9,10 @@ one representative per scalar class (scaling a vector by a nonzero field
 element changes nothing), restrict to anisotropic vectors, and break the
 coordinate-permutation symmetry on the first assigned vertex.
 
-All searches over F^t share one table per (p, t), kept in a small LRU
-cache.  It numbers the projective points of F^t (the vectors with leading
-coefficient 1) in lexicographic order, by arithmetic, so no list of F^t is
-built.  A set of points is an int bitmask over these numbers, and ascending
-bit order is the order in which candidates are tried.  The table interns
-the subspaces the searches meet, each as an id with the mask of its points
-and its rank, and memoises the subspace a point extends each one to.  It
-also holds the mask of the anisotropic points and, built on first use, the
-mask of the anisotropic points orthogonal to each point.
+All searches over F^t share one span table per (p, t), kept in a small LRU
+cache; linalg._SpanTable describes it.  A set of points is an int bitmask
+over the table's point numbers, and ascending bit order is the order in
+which candidates are tried.
 
 find_orthogonal_rep keeps a domain mask per unassigned vertex, starting at
 the anisotropic points.  Assigning a vector ANDs its orthogonality mask
@@ -43,14 +38,13 @@ statements over the reals exactly, but are never searched for.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coloring import CapExceededError, ParamResult, check_proper, local_lower_bound, max_clique
 from .fields import Field, PrimeField
 from .graphs import Graph, _bits, complement
-from .linalg import EchelonBasis
+from .linalg import EchelonBasis, _span_table, _SpanTable
 
 DEFAULT_OD_VERTEX_CAP = 16
 DEFAULT_OD_DIM_CAP = 6
@@ -147,157 +141,6 @@ def coloring_to_rep(g: Graph, colors: Sequence[int], field: Field) -> Representa
         e[index[colors[v]]] = f.one
         vecs.append(tuple(e))
     return Representation(field, t, tuple(vecs))
-
-
-# -- the subspace table -------------------------------------------------------
-
-
-def _projective(v: tuple, p: int) -> tuple:
-    """The multiple of a nonzero vector over GF(p) with leading coefficient 1."""
-    scale = pow(next(x for x in v if x), p - 2, p)
-    return tuple(scale * x % p for x in v)
-
-
-class _SpanTable:
-    """The projective points of F^t, numbered in candidate order, with the
-    subspaces the searches meet.
-
-    Point j is the j-th vector with leading coefficient 1 in lexicographic
-    order, so the points of the standard subspace span(e_1..e_r) come in the
-    lexicographic order of their first r coordinates.  index and point
-    convert by arithmetic, so no list of F^t is built.  A subspace is keyed
-    by its reduced echelon rows and known by an id, 0 being the zero space;
-    span[id] is the bitmask of its points, rank[id] its dimension, and
-    extend(id, j) the id of the subspace spanned by it and point j, memoised
-    per pair.  The points that point j adds are those of point(j) + span(id),
-    one per vector of the old span, so a new mask is built by listing them.
-
-    aniso is the mask of the anisotropic points, and orth_mask(j), built on
-    first use, the mask of the anisotropic points orthogonal to point j.
-    first_cands lists the points tried for the first vertex of an orthogonal
-    search: the anisotropic nondecreasing vectors (one per orbit of the
-    coordinate permutations), each scaled to leading coefficient 1.
-
-    Arithmetic is plain %, not PrimeField's: a table is cached across
-    searches, so field-operation counts taken per search must not include
-    its construction."""
-
-    def __init__(self, p: int, t: int):
-        self.p = p
-        self.t = t
-        self.keys: list = [()]
-        self.ids = {(): 0}
-        self.span = [0]
-        self.rank = [0]
-        self._ext: list = [{}]
-        self._standard = [0]
-        self._orth: dict = {}
-
-    def points(self):
-        """The points in number order."""
-        for lead in range(self.t - 1, -1, -1):
-            head = (0,) * lead + (1,)
-            for tail in itertools.product(range(self.p), repeat=self.t - 1 - lead):
-                yield head + tail
-
-    @functools.cached_property
-    def aniso(self) -> int:
-        p, m = self.p, 0
-        for j, v in enumerate(self.points()):
-            if sum(x * x for x in v) % p:
-                m |= 1 << j
-        return m
-
-    @functools.cached_property
-    def first_cands(self) -> list:
-        p = self.p
-        firsts = itertools.combinations_with_replacement(range(p), self.t)
-        return list(dict.fromkeys(self.index(v) for v in firsts if sum(x * x for x in v) % p))
-
-    def orth_mask(self, j: int) -> int:
-        m = self._orth.get(j)
-        if m is None:
-            p, v, m = self.p, self.point(j), 0
-            for k, u in enumerate(self.points()):
-                if not sum(a * b for a, b in zip(u, v)) % p:
-                    m |= 1 << k
-            m = self._orth[j] = m & self.aniso
-        return m
-
-    def index(self, v: Sequence[int]) -> int:
-        """Number of the point on the line through the nonzero vector v."""
-        p = self.p
-        lead = next(k for k, x in enumerate(v) if x)
-        scale = pow(v[lead], p - 2, p)
-        j = 0
-        for x in v[lead + 1:]:
-            j = j * p + x * scale % p
-        return self.unit(lead) + j
-
-    def unit(self, r: int) -> int:
-        """Number of the point e_{r+1}, the first with its leading 1 at r.
-        The points with a later leading 1 come before it, p^0 + p^1 + ...
-        + p^(t-2-r) of them."""
-        return (self.p ** (self.t - 1 - r) - 1) // (self.p - 1)
-
-    def point(self, j: int) -> tuple:
-        """The vector numbered j; the inverse of index."""
-        p, lead, size = self.p, self.t - 1, 1
-        while j >= size:
-            j -= size
-            lead -= 1
-            size *= p
-        tail = []
-        for _ in range(self.t - 1 - lead):
-            j, x = divmod(j, p)
-            tail.append(x)
-        return (0,) * lead + (1,) + tuple(reversed(tail))
-
-    def standard(self, r: int) -> int:
-        """Id of span(e_1..e_r), built on first use."""
-        while len(self._standard) <= r:
-            self._standard.append(self.extend(self._standard[-1], self.unit(len(self._standard) - 1)))
-        return self._standard[r]
-
-    def extend(self, key: int, j: int) -> int:
-        nxt = self._ext[key].get(j)
-        if nxt is None:
-            nxt = self._ext[key][j] = key if self.span[key] >> j & 1 else self._insert(key, j)
-        return nxt
-
-    def _insert(self, key: int, j: int) -> int:
-        """Id of span(key) + point j, for point j outside span(key)."""
-        p = self.p
-        old, vec = self.keys[key], self.point(j)
-        v = list(vec)
-        for row in old:
-            c = v[row.index(1)]  # a reduced row's first nonzero is its pivot 1
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        new = _projective(v, p)
-        pivot = new.index(1)
-        rows = [tuple((x - row[pivot] * y) % p for x, y in zip(row, new)) if row[pivot] else row for row in old]
-        rows = tuple(sorted(rows + [new], reverse=True))  # pivots ascending
-        nxt = self.ids.get(rows)
-        if nxt is None:
-            mask = self.span[key]
-            for coeffs in itertools.product(range(p), repeat=len(old)):
-                w = vec
-                for c, row in zip(coeffs, old):
-                    if c:
-                        w = tuple((x + c * y) % p for x, y in zip(w, row))
-                mask |= 1 << self.index(w)
-            nxt = self.ids[rows] = len(self.keys)
-            self.keys.append(rows)
-            self.span.append(mask)
-            self.rank.append(len(rows))
-            self._ext.append({})
-        return nxt
-
-
-@functools.lru_cache(maxsize=16)
-def _span_table(p: int, t: int) -> _SpanTable:
-    return _SpanTable(p, t)
 
 
 def _space(field: PrimeField, t: int) -> _SpanTable:

@@ -276,13 +276,6 @@ class GadgetReport:
     first_counterexample: Optional[tuple]
 
 
-def _proportional(field: PrimeField, u: tuple, v: tuple) -> bool:
-    for alpha in range(1, field.size):
-        if all(field.mul(alpha, y) == x for x, y in zip(u, v)):
-            return True
-    return False
-
-
 def certify_gadget_lemma(field: PrimeField, drop_matching_edge: bool = False) -> GadgetReport:
     """Enumerate every orthogonal representation of the H gadget in F^3 and
     check that the endpoint vectors are orthogonal or proportional.
@@ -296,7 +289,7 @@ def certify_gadget_lemma(field: PrimeField, drop_matching_edge: bool = False) ->
     for rep in enumerate_orthogonal_reps(h, field, 3):
         enumerated += 1
         u_i, u_j = rep.vectors[0], rep.vectors[3]
-        if field.inner(u_i, u_j) == field.zero or _proportional(field, u_i, u_j):
+        if u_i == u_j or field.inner(u_i, u_j) == field.zero:  # leading 1s: proportional = equal
             continue
         counterexamples += 1
         if first is None:

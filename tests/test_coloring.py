@@ -207,6 +207,16 @@ def test_locality_decision_on_odd_cycle():
     assert coloring_locality(c5, colors) <= 3
 
 
+def test_locality_decision_long_cycles_need_no_recursion():
+    # one search frame per colored vertex, past the default recursion limit
+    for n in (1100, 1101):
+        g = cycle_graph(n)
+        colors = locality_decision(g, 3)
+        assert colors is not None
+        assert coloring_locality(g, colors) <= 3
+    assert locality_decision(cycle_graph(1101), 2) is None
+
+
 def _brute_locality(g: Graph, ell: int, max_colors) -> bool:
     # every coloring up to renaming colors: restricted growth strings
     colorings = [[]]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -124,6 +125,37 @@ def test_schulman_vectors_greedy_is_deterministic():
     b = schulman_vectors(sets, 3, 2, GF3)
     assert a == b
     assert verify_family(sets, a, GF3)
+
+
+def _scan_schulman_vectors(sets, m, ell, field):
+    """Reference: each u_j is the first nonzero vector of F^t in odometer order
+    (last coordinate fastest) outside the span of u_i, i < j, for every set
+    containing j, tested by one echelon basis per set."""
+    t = ell + ceil_log(field.size, len(sets))
+    out = []
+    for j in range(m):
+        spans = [EchelonBasis(field, t, [out[i] for i in h if i < j]) for h in sets if j in h]
+        for cand in itertools.product(range(field.size), repeat=t):
+            if any(cand) and not any(b.contains(cand) for b in spans):
+                out.append(cand)
+                break
+    return out
+
+
+@pytest.mark.parametrize("p, max_ell, max_sets", [(2, 4, 20), (3, 4, 81), (5, 3, 25), (7, 2, 49)])
+def test_schulman_vectors_agree_with_scan(p, max_ell, max_sets):
+    rng = random.Random(p)
+    field = PrimeField(p)
+    longest = 0
+    for _ in range(250):
+        ell = rng.randint(1, max_ell)
+        m = rng.randint(1, 12)
+        sets = [set(rng.sample(range(m), rng.randint(0, min(ell, m)))) for _ in range(rng.randint(0, max_sets))]
+        vecs = schulman_vectors(sets, m, ell, field)
+        assert vecs == _scan_schulman_vectors(sets, m, ell, field), (sets, m, ell)
+        assert verify_family(sets, vecs, field)
+        longest = max(longest, len(vecs[0]))
+    assert longest == max_ell + ceil_log(p, max_sets)
 
 
 def test_schulman_rejects_oversized_constraint():

@@ -20,6 +20,7 @@ from orthograph.graphs import (
     empty_graph,
     kneser,
 )
+from orthograph.linalg import _span_table
 from orthograph.ortho import (
     Representation,
     coloring_to_rep,
@@ -209,6 +210,34 @@ def test_find_orthogonal_rep_witnesses_are_pinned():
     assert len(out) == 2582
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "7e7e14d96a8139da99233d3a531921b76d9d3c1bcbbf8b3409cc5ed70e692ef3"
+
+
+@pytest.mark.parametrize(
+    "g, p, t, ell, calls",
+    [
+        (complete_graph(4), 3, 3, None, 19),
+        (kneser(5, 2), 2, 3, 2, 8),
+        (cycle_graph(5), 3, 4, 2, 196),
+    ],
+)
+def test_first_vertex_symmetry_break_is_kept(g, p, t, ell, calls):
+    # the search calls orth_mask once per vector it tries; without the
+    # first-vertex break these refutations make 57, 22 and 672 calls, and a
+    # stronger symmetry rule would lower them (re-derive the counts then)
+    tab = _span_table(p, t)
+    counted = []
+    orth_mask = tab.orth_mask
+
+    def counting(j):
+        counted.append(j)
+        return orth_mask(j)
+
+    tab.orth_mask = counting  # the table is cached, so the wrapper must go again
+    try:
+        assert find_orthogonal_rep(g, PrimeField(p), t, locality=ell) is None
+    finally:
+        del tab.orth_mask
+    assert len(counted) == calls
 
 
 def test_find_independent_rep_dimension_threshold():
