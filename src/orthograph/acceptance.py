@@ -1,4 +1,4 @@
-"""Self-contained verification battery: twelve named checks covering the
+"""Self-contained verification battery: thirteen named checks covering the
 solvers, constructions, and pipelines end to end.
 
 Each check raises AssertionError with a diagnostic message on failure and
@@ -134,6 +134,19 @@ def check_petersen_local_dimension() -> str:
     assert res.exact_under_cap
     assert rep_locality(kneser(5, 2), res.witness) == 3
     return f"local dimension of K(5,2) over GF(2) = 3 (lower bound: {res.lower_bound_reason})"
+
+
+def check_schrijver_local_dimension() -> str:
+    """Local orthogonality dimension of S(6,2) over GF(2) is exactly 4 = chi
+    under the default dimension cap (n = 9): one above the paper's lower
+    bound ceil(t/2)+1 = 3 for the topologically 4-chromatic S(6,2)."""
+    g = schrijver(6, 2)
+    res = local_orthogonality_dimension(g, GF2)
+    chi = chromatic_number(g).value
+    assert res.value == 4 == chi, f"lod(S(6,2)) = {res.value}, chi = {chi}, expected both 4"
+    assert res.exact_under_cap and res.dim_cap == g.n
+    assert rep_locality(g, res.witness) == 4
+    return f"local dimension of S(6,2) over GF(2) = 4 = chi under dim cap {res.dim_cap}"
 
 
 def check_gadget_lemma() -> str:
@@ -308,6 +321,7 @@ CRITERIA: list[tuple[str, Callable[[], str]]] = [
     ("pair-system-local-equality", check_pair_system_local_equality),
     ("bipartite-local-dimension", check_bipartite_local_dimension_two),
     ("petersen-local-dimension", check_petersen_local_dimension),
+    ("schrijver-local-dimension", check_schrijver_local_dimension),
     ("gadget-lemma", check_gadget_lemma),
     ("reduction-equivalence", check_reduction_equivalence),
     ("vector-families", check_vector_families),

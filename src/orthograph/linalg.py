@@ -187,6 +187,12 @@ def _projective(v: tuple, p: int) -> tuple:
     return tuple(scale * x % p for x in v)
 
 
+def _floor(low: tuple, label: int, x: int, live: set) -> tuple:
+    """low with class label's least value raised to x, and the classes
+    without a column left reset to 0 (they constrain nothing)."""
+    return tuple((x if k == label else v) if k in live else 0 for k, v in enumerate(low))
+
+
 class _SpanTable:
     """The projective points of F^t, numbered in candidate order, with the
     subspaces the searches meet.
@@ -201,11 +207,22 @@ class _SpanTable:
     per pair.  The points that point j adds are those of point(j) + span(id),
     one per vector of the old span, so a new mask is built by listing them.
 
-    aniso is the mask of the anisotropic points, and orth_mask(j), built on
-    first use, the mask of the anisotropic points orthogonal to point j.
-    first_cands lists the points tried for the first vertex of an orthogonal
-    search: the anisotropic nondecreasing vectors (one per orbit of the
-    coordinate permutations), each scaled to leading coefficient 1.
+    npts is the number of points, aniso the mask of the anisotropic ones,
+    and orth_mask(j), built on first use, the mask of the anisotropic points
+    orthogonal to point j.
+
+    Column classes carry the symmetry breaking of the orthogonal search.  A
+    class tuple gives each coordinate a class: two coordinates share one when
+    they agree on every vector assigned so far, and class 0 holds the
+    coordinates zero on all of them; the other classes are labelled 1, 2, ...
+    in the order of their first coordinate, so one partition has one tuple.
+    Class tuples are interned like subspaces: classes[k] is the tuple of id
+    k, id 0 being the tuple before any assignment (all coordinates in class
+    0), and refine(k, j) the id of the classes once point j is also
+    assigned, memoised per pair.  class_mask(k), built on first use, is the
+    mask of the points nondecreasing inside each class whose class-0 entries
+    are at most p//2; a class tuple of singletons without class 0 allows
+    every point.
 
     _span_table keeps the tables of the searches in ortho in a 16-entry LRU
     cache; schulman_vectors builds its own, so it evicts none of them.
@@ -223,6 +240,11 @@ class _SpanTable:
         self._ext: list = [{}]
         self._standard = [0]
         self._orth: dict = {}
+        self.npts = (p**t - 1) // (p - 1)
+        self.classes: list = [(0,) * t]
+        self._class_ids = {self.classes[0]: 0}
+        self._refine: list = [{}]
+        self._class_mask: list = [None]
 
     def points(self):
         """The points in number order."""
@@ -239,11 +261,51 @@ class _SpanTable:
                 m |= 1 << j
         return m
 
-    @functools.cached_property
-    def first_cands(self) -> list:
-        p = self.p
-        firsts = itertools.combinations_with_replacement(range(p), self.t)
-        return list(dict.fromkeys(self.index(v) for v in firsts if sum(x * x for x in v) % p))
+    def refine(self, k: int, j: int) -> int:
+        nxt = self._refine[k].get(j)
+        if nxt is None:
+            labels = {(0, 0): 0}  # zero before and on point j: still class 0
+            cls = tuple(labels.setdefault(pair, len(labels)) for pair in zip(self.classes[k], self.point(j)))
+            nxt = self._class_ids.get(cls)
+            if nxt is None:
+                nxt = self._class_ids[cls] = len(self.classes)
+                self.classes.append(cls)
+                self._refine.append({})
+                self._class_mask.append(None)
+            self._refine[k][j] = nxt
+        return nxt
+
+    def class_mask(self, k: int) -> int:
+        m = self._class_mask[k]
+        if m is None:
+            m = self._class_mask[k] = self._build_class_mask(self.classes[k])
+        return m
+
+    def _build_class_mask(self, cls: tuple) -> int:
+        """The points with their leading 1 at column lead are numbered from
+        unit(lead) on, in the lexicographic order of their later entries, so
+        the mask is laid out by shifts.  tails(c, low) is the mask, over the
+        vectors of entries c..t-1 in lexicographic order, of those allowed
+        when each class's next entry must be at least low[label] (the last
+        entry it was given); it depends on nothing else, so it is memoised."""
+        p, t = self.p, self.t
+        top = [p // 2 if label == 0 else p - 1 for label in cls]
+        live = [set(cls[c:]) for c in range(t + 1)]  # classes with a column at c or later
+
+        @functools.lru_cache(maxsize=None)
+        def tails(c: int, low: tuple) -> int:
+            if c == t:
+                return 1
+            size, label, m = p ** (t - c - 1), cls[c], 0
+            for x in range(low[label], top[c] + 1):
+                m |= tails(c + 1, _floor(low, label, x, live[c + 1])) << x * size
+            return m
+
+        base = (0,) * (t + 1)  # labels run from 0 to at most t
+        m = 0
+        for lead in range(t):
+            m |= tails(lead + 1, _floor(base, cls[lead], 1, live[lead + 1])) << self.unit(lead)
+        return m
 
     def orth_mask(self, j: int) -> int:
         m = self._orth.get(j)
@@ -378,7 +440,7 @@ def schulman_vectors(sets: Sequence[Iterable[int]], m: int, ell: int, field: Pri
             if j in h:
                 taken |= tab.span[functools.reduce(tab.extend, [chosen[i] for i in h if i < j], 0)]
         c = (~taken & (taken + 1)).bit_length() - 1  # the lowest point outside
-        if c >= (q**t - 1) // (q - 1):  # pragma: no cover - impossible by the counting bound
+        if c >= tab.npts:  # pragma: no cover - impossible by the counting bound
             raise RuntimeError("greedy choice failed; counting bound violated")
         chosen.append(c)
     return [tab.point(c) for c in chosen]

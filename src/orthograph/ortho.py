@@ -6,8 +6,7 @@ An orthogonal representation assigns to each vertex a vector with nonzero
 self inner product, orthogonal across every edge.  Its locality is the
 maximum rank of the vectors on a closed neighborhood.  Searches enumerate
 one representative per scalar class (scaling a vector by a nonzero field
-element changes nothing), restrict to anisotropic vectors, and break the
-coordinate-permutation symmetry on the first assigned vertex.
+element changes nothing) and restrict to anisotropic vectors.
 
 All searches over F^t share one span table per (p, t), kept in a small LRU
 cache; linalg._SpanTable describes it.  A set of points is an int bitmask
@@ -21,8 +20,27 @@ holds the subspace id of its assigned vectors' span; once its rank reaches
 the locality bound, its span mask is ANDed into the domains of its
 unassigned vertices.  An empty domain backtracks at once (forward
 checking).  Vertices follow a static order and each domain is walked in
-point order, so pruning only cuts subtrees without a solution and the
-first witness found does not depend on it.
+point order, so forward checking only cuts subtrees without a solution and
+the first witness found does not depend on it.
+
+Symmetry is broken at every node by the stabiliser of the assigned prefix
+(the stabiliser form of the lex-leader constraints of Crawford et al.,
+"Symmetry-breaking predicates for search problems", KR 1996).  Coordinates
+that agree on every assigned vector form a class, class 0 being those zero
+on all of them.  Permuting the coordinates inside a class, and negating
+those of class 0, fixes every assigned vector and keeps every inner
+product and rank, so it maps a solution extending the prefix to another.
+The next vector need only be tried in one form per orbit: a point that is
+nondecreasing inside every class, with class-0 entries at most p//2.  Every
+orbit has one.  Sorting a class puts its zeros first, so where the first
+nonzero entry of the sorted vector falls depends only on which entries are
+zero; scale the vector by the inverse of a nonzero entry in that column's
+class, replace each class-0 entry x by min(x, p - x), and sort each class.
+The leading entry is then the least nonzero value, 1.  The table's
+class_mask of the current classes is ANDed into the next vertex's domain,
+and refine gives the classes of the child node.  The rule cuts subtrees
+that hold solutions, so it keeps every decision, though not necessarily
+the witness an unreduced search would find first.
 
 find_independent_rep (the minrank search) tries the points of
 span(e_1..e_r) outside a vertex's neighbor span, then the fresh point
@@ -205,6 +223,7 @@ def find_orthogonal_rep(
         rest.append(unplaced)
     later_nbrs = [_bits(g.adj[v] & rest[i]) for i, v in enumerate(order)]
     span, rank, extend, orth_mask = tab.span, tab.rank, tab.extend, tab.orth_mask
+    refine, class_mask = tab.refine, tab.class_mask
     chosen = [0] * n
 
     def place(i: int, c: int, dom: list, spans: list) -> bool:
@@ -217,11 +236,12 @@ def find_orthogonal_rep(
                     return False
         return True
 
-    def rec(i: int, dom: list, spans: Optional[list]) -> bool:
+    def rec(i: int, dom: list, spans: Optional[list], k: int) -> bool:
+        """Extend order[0..i-1], whose column classes have id k."""
         if i == n:
             return True
         v = order[i]
-        for c in tab.first_cands if i == 0 else _bits(dom[v]):
+        for c in _bits(dom[v] & class_mask(k)):
             nd = dom[:]
             if not _narrow(nd, later_nbrs[i], orth_mask(c)):
                 continue
@@ -231,13 +251,13 @@ def find_orthogonal_rep(
                 if not place(i, c, nd, ns):
                     continue
             chosen[v] = c
-            if rec(i + 1, nd, ns):
+            if rec(i + 1, nd, ns, refine(k, c)):
                 return True
         return False
 
     # spans[w]: subspace id of the span of w's closed neighborhood so far
     spans = [0] * n if locality is not None else None
-    if not rec(0, [tab.aniso] * n, spans):
+    if not rec(0, [tab.aniso] * n, spans, 0):
         return None
     return Representation(field, t, tuple(tab.point(c) for c in chosen))
 
@@ -308,11 +328,17 @@ def local_orthogonality_dimension(
     lb, reason = local_lower_bound(g)
     if g.n == 0:
         return LocalOdResult(0, Representation(field, 0, ()), dim_cap, True, "bipartite-test")
-    for ell in range(max(lb, 1), g.n + 1):
-        for t in range(ell, dim_cap + 1):
-            rep = find_orthogonal_rep(g, field, t, locality=ell)
-            if rep is not None:
-                return LocalOdResult(ell, rep, dim_cap, True, reason)
+    for ell in range(max(lb, 1), min(g.n, dim_cap) + 1):
+        # t = ell first; failing that, one search at dim_cap decides ell (as
+        # in has_local_rep), and the t between are walked only once it
+        # succeeds, for the least-t witness
+        rep = find_orthogonal_rep(g, field, ell, locality=ell)
+        top = None if rep is not None or ell == dim_cap else find_orthogonal_rep(g, field, dim_cap, locality=ell)
+        if top is not None:
+            reps = (find_orthogonal_rep(g, field, t, locality=ell) for t in range(ell + 1, dim_cap))
+            rep = next((r for r in reps if r is not None), top)
+        if rep is not None:
+            return LocalOdResult(ell, rep, dim_cap, True, reason)
         reason = "exhausted-search"
     raise CapExceededError(f"no representation found with dimension cap {dim_cap}")
 

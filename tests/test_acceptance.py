@@ -33,6 +33,10 @@ def test_petersen_local_dimension_three():
     acceptance.check_petersen_local_dimension()
 
 
+def test_schrijver_local_dimension_four():
+    acceptance.check_schrijver_local_dimension()
+
+
 def test_gadget_lemma_exhaustive_with_negative_control():
     acceptance.check_gadget_lemma()
 

@@ -20,6 +20,7 @@ from orthograph.linalg import (
     solve_row,
     vandermonde,
     verify_family,
+    _SpanTable,
 )
 
 GF5 = PrimeField(5)
@@ -165,6 +166,41 @@ def test_schulman_rejects_oversized_constraint():
 
 def test_verify_family_detects_dependence():
     assert not verify_family([{0, 1}], [(1, 0), (1, 0)], GF2)
+
+
+def _allowed_points(p, t, vectors):
+    """Reference: the numbers of the points (leading coefficient 1, in
+    lexicographic order) that are nondecreasing on every set of coordinates
+    where all the given vectors agree, with entries at most p//2 on the
+    coordinates where all of them are zero."""
+    cols = list(zip(*vectors)) if vectors else [()] * t
+    points = [v for v in itertools.product(range(p), repeat=t) if next((x for x in v if x), None) == 1]
+    return {
+        j
+        for j, u in enumerate(points)
+        if all(u[a] <= u[b] for a, b in itertools.combinations(range(t), 2) if cols[a] == cols[b])
+        and all(u[c] <= p // 2 for c in range(t) if not any(cols[c]))
+    }
+
+
+@pytest.mark.parametrize("p, t", [(2, 4), (3, 4), (5, 3), (7, 2)])
+def test_class_masks_match_their_definition(p, t):
+    # every class id the refinement reaches, and every refinement step from
+    # it, against the allowed points of the vectors assigned along the way
+    tab = _SpanTable(p, t)
+    paths = {0: []}
+    todo = [0]
+    while todo:
+        k = todo.pop()
+        assert {j for j in range(tab.npts) if tab.class_mask(k) >> j & 1} == _allowed_points(p, t, paths[k])
+        for j in range(tab.npts):
+            nxt = tab.refine(k, j)
+            path = paths[k] + [tab.point(j)]
+            if nxt not in paths:
+                paths[nxt] = path
+                todo.append(nxt)
+            assert {i for i in range(tab.npts) if tab.class_mask(nxt) >> i & 1} == _allowed_points(p, t, path)
+    assert len(paths) == len(tab.classes)
 
 
 def test_random_matrix_seeded_and_reproducible():

@@ -215,15 +215,15 @@ def test_find_orthogonal_rep_witnesses_are_pinned():
 @pytest.mark.parametrize(
     "g, p, t, ell, calls",
     [
-        (complete_graph(4), 3, 3, None, 19),
-        (kneser(5, 2), 2, 3, 2, 8),
-        (cycle_graph(5), 3, 4, 2, 196),
+        (complete_graph(4), 3, 3, None, 10),
+        (kneser(5, 2), 2, 3, 2, 5),
+        (cycle_graph(5), 3, 4, 2, 27),
     ],
 )
-def test_first_vertex_symmetry_break_is_kept(g, p, t, ell, calls):
-    # the search calls orth_mask once per vector it tries; without the
-    # first-vertex break these refutations make 57, 22 and 672 calls, and a
-    # stronger symmetry rule would lower them (re-derive the counts then)
+def test_stabiliser_symmetry_break_is_kept(g, p, t, ell, calls):
+    # the search calls orth_mask once per vector it tries; with the column
+    # classes applied at the first vertex only these refutations make 14, 8
+    # and 84 calls, and with no symmetry rule 57, 22 and 672
     tab = _span_table(p, t)
     counted = []
     orth_mask = tab.orth_mask
@@ -238,6 +238,24 @@ def test_first_vertex_symmetry_break_is_kept(g, p, t, ell, calls):
     finally:
         del tab.orth_mask
     assert len(counted) == calls
+
+
+def test_class_masks_keep_every_decision():
+    # the search with every point allowed at every node (no symmetry rule)
+    # decides each case as the real search does, on the atlas graphs with at
+    # most 5 vertices
+    atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in graph_atlas_g() if h.number_of_nodes() <= 5]
+    cases = [(g, ell) for g in atlas for ell in (None, 1, 2, 3)]
+    for p, max_t in ((2, 5), (3, 4), (5, 3)):
+        for t in range(1, max_t + 1):
+            field, tab = PrimeField(p), _span_table(p, t)
+            want = [find_orthogonal_rep(g, field, t, locality=ell) is not None for g, ell in cases]
+            tab.class_mask = lambda k, every=(1 << tab.npts) - 1: every
+            try:
+                got = [find_orthogonal_rep(g, field, t, locality=ell) is not None for g, ell in cases]
+            finally:
+                del tab.class_mask
+            assert got == want, (p, t)
 
 
 def test_find_independent_rep_dimension_threshold():

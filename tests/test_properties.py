@@ -1,5 +1,6 @@
-"""Inequalities between the graph parameters, as property tests over random
-graphs with at most 6 vertices, over GF(2) and GF(3)."""
+"""Inequalities between the graph parameters, over GF(2) and GF(3): as
+property tests over random graphs with at most 6 vertices, and over every
+atlas graph with at most 6 vertices."""
 
 from __future__ import annotations
 
@@ -8,10 +9,12 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.generators.atlas import graph_atlas_g
 
 from orthograph.coloring import chromatic_number, local_chromatic_number, max_clique
 from orthograph.fields import GF2, GF3
 from orthograph.graphs import Graph, complement
+from orthograph.linalg import ceil_log
 from orthograph.ortho import (
     coloring_to_rep,
     local_orthogonality_dimension,
@@ -60,3 +63,16 @@ def test_minrank_below_od_of_complement(field, g):
     # an orthogonal representation of the complement is an independent one:
     # an anisotropic vector orthogonal to its neighbors' lies outside their span
     assert minrank(g, field).value <= orthogonality_dimension(complement(g), field).value
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["GF2", "GF3"])
+def test_minrank_below_local_od_of_complement_plus_log(field):
+    # the paper's index-coding bound: a locality-l orthogonal representation
+    # of the complement compresses to an independent one of dimension
+    # l + ceil(log_q n)
+    for nxg in graph_atlas_g():
+        if nxg.number_of_nodes() > 6:
+            break
+        g = Graph(nxg.number_of_nodes(), list(nxg.edges()))
+        bound = local_orthogonality_dimension(complement(g), field).value + ceil_log(field.size, g.n)
+        assert minrank(g, field).value <= bound, g.edges()
