@@ -69,6 +69,7 @@ from .ortho import (
 )
 from .reduction import (
     Cnf,
+    CnfParseError,
     GadgetGraph,
     assignment_to_coloring,
     build_g,
@@ -80,6 +81,7 @@ from .reduction import (
     parse_dimacs_cnf,
 )
 from .indexcoding import (
+    CompressionError,
     CompressionResult,
     IndexCode,
     build_code,

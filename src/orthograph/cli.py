@@ -13,6 +13,7 @@ fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -40,7 +41,7 @@ from .graphs import (
     schrijver,
     write_dimacs,
 )
-from .indexcoding import IndexCode, check_representing, code_by_method, simulate
+from .indexcoding import CompressionError, IndexCode, check_representing, code_by_method, simulate
 from .linalg import FieldTooSmallError, Matrix
 from .ortho import (
     Representation,
@@ -51,7 +52,7 @@ from .ortho import (
     orthogonality_violations,
     rep_locality,
 )
-from .reduction import build_g, build_g_k, build_g_prime, parse_dimacs_cnf
+from .reduction import CnfParseError, build_g, build_g_k, build_g_prime, parse_dimacs_cnf
 
 SCHEMA = 1
 
@@ -81,7 +82,10 @@ def _load_graph(path: str) -> Graph:
 
 
 def _prime_field(name: str) -> PrimeField:
-    field = field_from_name(name)
+    try:
+        field = field_from_name(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if not isinstance(field, PrimeField):
         raise UsageError("this command needs a finite prime field, not Q")
     return field
@@ -369,7 +373,9 @@ def cmd_selftest(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="orthograph",
         description="Exact graph parameters, SAT reduction, and index coding toolkit.",
@@ -432,13 +438,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FieldTooSmallError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (UsageError, DimacsParseError, FileNotFoundError) as exc:
+    except (UsageError, DimacsParseError, CnfParseError, FileNotFoundError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
+    except CompressionError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -84,6 +84,18 @@ class PrimeField:
             raise ValueError(f"inner product length mismatch: {len(xs)} vs {len(ys)}")
         return sum(x * y for x, y in zip(xs, ys)) % self.p
 
+    # -- row operations: one call per row, one % p per entry --------------------
+
+    def scale(self, c: int, xs: Sequence[int]) -> list[int]:
+        """c * xs, entrywise."""
+        p = self.p
+        return [c * x % p for x in xs]
+
+    def sub_scaled(self, xs: Sequence[int], c: int, ys: Sequence[int]) -> list[int]:
+        """xs - c * ys, entrywise."""
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+
     # -------------------------------------------------------------------------
 
     @property
@@ -142,6 +154,16 @@ class RationalField:
         if len(xs) != len(ys):
             raise ValueError(f"inner product length mismatch: {len(xs)} vs {len(ys)}")
         return sum((Fraction(x) * Fraction(y) for x, y in zip(xs, ys)), Fraction(0))
+
+    def scale(self, c, xs: Sequence) -> list[Fraction]:
+        """c * xs, entrywise."""
+        c = Fraction(c)
+        return [c * Fraction(x) for x in xs]
+
+    def sub_scaled(self, xs: Sequence, c, ys: Sequence) -> list[Fraction]:
+        """xs - c * ys, entrywise."""
+        c = Fraction(c)
+        return [Fraction(x) - c * Fraction(y) for x, y in zip(xs, ys)]
 
     @property
     def name(self) -> str:

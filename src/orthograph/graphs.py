@@ -266,6 +266,8 @@ def read_dimacs(text: str) -> Graph:
                 int(parts[3])
             except ValueError:
                 raise DimacsParseError(f"line {lineno}: non-integer counts") from None
+            if n < 0:
+                raise DimacsParseError(f"line {lineno}: negative vertex count {n}")
         elif parts[0] == "e":
             if n is None:
                 raise DimacsParseError(f"line {lineno}: edge before problem line")

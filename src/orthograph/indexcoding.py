@@ -13,10 +13,18 @@ Three routes to a representing matrix are provided:
     Schulman family, adding ceil(log_q n) dimensions),
   * randomized compression of an orthogonal representation with locality l
     down to l + ceil(log_q n) dimensions.
+
+build_code solves every receiver's lambda_i against one elimination of
+[B | I].  Each receiver's decode row (lambda_i, the pairs (j, M_ij) for j in
+N(i), and M_ii^-1) is computed once per code, as IndexCode.decode_rows;
+decode_one and simulate both decode from these rows through one helper, in
+plain-int arithmetic, reading the message only at the receiver's
+neighbours.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,7 +39,7 @@ from .linalg import (
     nullspace_basis,
     random_matrix,
     schulman_vectors,
-    solve_row,
+    solve_rows,
     vandermonde,
 )
 from .ortho import Representation, independence_violations, orthogonality_violations, rep_locality
@@ -39,6 +47,10 @@ from .ortho import Representation, independence_violations, orthogonality_violat
 
 class RepresentingPatternError(ValueError):
     """Matrix does not represent the side-information graph."""
+
+
+class CompressionError(RuntimeError):
+    """Every randomized compression attempt failed."""
 
 
 def check_representing(g: Graph, m: Matrix) -> None:
@@ -71,6 +83,17 @@ class IndexCode:
     @property
     def length(self) -> int:
         return self.encode_matrix.nrows
+
+    @functools.cached_property
+    def decode_rows(self) -> tuple:
+        """Per receiver i: (lambda_i, ((j, M_ij) for j in N(i)), M_ii^-1)."""
+        f, m = self.field, self.matrix
+        if any(len(lam) != self.length for lam in self.decode_coeffs):
+            raise ValueError(f"decode coefficients must have the code length {self.length}")
+        return tuple(
+            (self.decode_coeffs[i], tuple((j, m[i, j]) for j in _bits(self.graph.adj[i])), f.inv(m[i, i]))
+            for i in range(self.n)
+        )
 
 
 def representing_matrix(g: Graph, rep: Representation) -> Matrix:
@@ -143,19 +166,14 @@ def _smallest_combination(field: PrimeField, basis: Sequence[tuple], target: tup
 
 def build_code(g: Graph, m: Matrix) -> IndexCode:
     """Index code from a representing matrix: broadcast the first rank(M)
-    linearly independent rows of M (deterministic elimination order)."""
+    linearly independent rows of M (deterministic elimination order), and
+    solve every receiver's lambda_i against one elimination of [B | I]."""
     check_representing(g, m)
     f = m.field
     basis = EchelonBasis(f, g.n)
-    b_rows = []
-    for row in m.rows:
-        if not basis.add(row):
-            b_rows.append(row)
-    coeffs = []
-    for i in range(g.n):
-        lam = solve_row(b_rows, m.rows[i], f)
-        assert lam is not None  # rows of B span the row space of M
-        coeffs.append(lam)
+    b_rows = [row for row in m.rows if not basis.add(row)]
+    coeffs = solve_rows(b_rows, m.rows, f)
+    assert None not in coeffs  # rows of B span the row space of M
     return IndexCode(f, g, m, Matrix(f, tuple(b_rows)), tuple(coeffs))
 
 
@@ -169,13 +187,19 @@ def encode(code: IndexCode, x: Sequence) -> tuple:
 def decode_one(code: IndexCode, i: int, y: Sequence, side_info: dict) -> object:
     """Recover x_i from the broadcast y and the side information
     {j: x_j for j in N(i)}."""
-    f = code.field
     if set(side_info) != set(_bits(code.graph.adj[i])):
         raise ValueError(f"side information must cover exactly the neighbors of {i}")
-    total = f.inner(code.decode_coeffs[i], y)  # = M_i . x
-    for j, xj in side_info.items():
-        total = f.sub(total, f.mul(code.matrix[i, j], xj))
-    return f.div(total, code.matrix[i, i])
+    if len(y) != code.length:
+        raise ValueError(f"broadcast length {len(y)} != code length {code.length}")
+    return _decode(code.field.p, code.decode_rows[i], y, side_info)
+
+
+def _decode(p: int, row: tuple, y: Sequence, known) -> int:
+    """x_i = (lambda_i . y - sum of M_ij x_j over j in N(i)) / M_ii, from a
+    decode row of IndexCode.decode_rows; known is read only at N(i)."""
+    lam, side, inv = row
+    total = sum(a * b for a, b in zip(lam, y)) - sum(m * known[j] for j, m in side)  # = M_ii x_i
+    return total * inv % p
 
 
 # -- code constructions -------------------------------------------------------
@@ -286,7 +310,7 @@ def compress_representation(g: Graph, rep: Representation, seed: int = 0, retrie
         mapped = compress_attempt(g, rep, m, seed + k)
         if mapped is not None:
             return CompressionResult(k + 1, mapped)
-    raise RuntimeError(f"compression failed {retries} times (probability <= q^-{retries})")
+    raise CompressionError(f"compression failed {retries} times (probability <= q^-{retries})")
 
 
 # -- simulation ---------------------------------------------------------------
@@ -304,12 +328,11 @@ def simulate(code: IndexCode, trials: int, seed: int = 0) -> SimulationReport:
     receiver; failures must be zero for a valid code."""
     rng = random.Random(seed)
     q = code.field.size
+    rows = code.decode_rows
     failures = 0
     for _ in range(trials):
         x = [rng.randrange(q) for _ in range(code.n)]
         y = encode(code, x)
-        for i in range(code.n):
-            side = {j: x[j] for j in _bits(code.graph.adj[i])}
-            if decode_one(code, i, y, side) != x[i]:
-                failures += 1
+        # row i lists exactly N(i), so receiver i reads x only at its side information
+        failures += sum(_decode(q, row, y, x) != xi for row, xi in zip(rows, x))
     return SimulationReport(trials, failures, code.length)

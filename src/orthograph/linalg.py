@@ -9,7 +9,10 @@ scan order, so every result is deterministic across runs and platforms.
 
 There are two elimination kernels, one per job.  EchelonBasis is exact over
 any field, Q included: it verifies witnesses and builds codes
-(build_code, nullspace_basis, solve_row).  _SpanTable numbers the
+(build_code, nullspace_basis, solve_row).  Its row operations are one field
+call per row (the fields' scale and sub_scaled), not one per entry.
+build_code solves every receiver against one [B | I] basis (solve_rows, of
+which solve_row is the one-target case).  _SpanTable numbers the
 projective points of GF(p)^t and interns subspaces as bitmasks over them;
 every search over GF(p) runs on it, the greedy Schulman family included.
 indexcoding._smallest_combination stays Gaussian elimination: a table over
@@ -103,12 +106,11 @@ class EchelonBasis:
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)} != basis width {self.ncols}")
         f = self.field
-        v = list(f.element(x) for x in v)
+        v = f.scale(f.one, v)  # canonical copy
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c != f.zero:
-                for j in range(p, self.ncols):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+                v = f.sub_scaled(v, c, row)  # row is zero before its pivot
         return tuple(v)
 
     def contains(self, v: Sequence) -> bool:
@@ -119,19 +121,18 @@ class EchelonBasis:
         """Insert v if independent of the basis.  Returns True if v was
         already in the span (basis unchanged), False if it was inserted."""
         f = self.field
-        res = list(self.reduce(v))
+        res = self.reduce(v)
         pivot = next((j for j, x in enumerate(res) if x != f.zero), None)
         if pivot is None:
             return True
-        c = f.inv(res[pivot])
-        res = [f.mul(c, x) for x in res]
+        res = tuple(f.scale(f.inv(res[pivot]), res))
         # back-eliminate the new pivot from existing rows
         for k, row in enumerate(self.rows):
             c = row[pivot]
             if c != f.zero:
-                self.rows[k] = tuple(f.sub(x, f.mul(c, y)) for x, y in zip(row, res))
+                self.rows[k] = tuple(f.sub_scaled(row, c, res))
         at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, tuple(res))
+        self.rows.insert(at, res)
         self.pivots.insert(at, pivot)
         return False
 
@@ -159,12 +160,21 @@ def nullspace_basis(m: Matrix) -> list[Vector]:
 
 
 def solve_row(basis_rows: Sequence[Sequence], target: Sequence, field: Field):
-    """Coefficients lam with sum(lam_i * basis_rows[i]) == target, or None.
+    """Coefficients lam with sum(lam_i * basis_rows[i]) == target, or None;
+    the one-target case of solve_rows."""
+    return solve_rows(basis_rows, [target], field)[0]
+
+
+def solve_rows(basis_rows: Sequence[Sequence], targets: Sequence[Sequence], field: Field) -> list:
+    """solve_row for each of the targets, all of one length, against one
+    elimination.
 
     Deterministic: eliminates with first-nonzero pivoting over the stacked
-    system [rows | I]."""
+    system [rows | I] once, then reduces [target | 0] for each target."""
+    if not targets:
+        return []
     k = len(basis_rows)
-    width = len(target)
+    width = len(targets[0])
     aug = EchelonBasis(field, width + k)
     zero = field.zero
     one = field.one
@@ -172,10 +182,12 @@ def solve_row(basis_rows: Sequence[Sequence], target: Sequence, field: Field):
         tag = [zero] * k
         tag[i] = one
         aug.add(tuple(r) + tuple(tag))
-    res = aug.reduce(tuple(target) + tuple([zero] * k))
-    if any(x != zero for x in res[:width]):
-        return None
-    return tuple(field.neg(x) for x in res[width:])
+    out = []
+    for target in targets:
+        res = aug.reduce(tuple(target) + (zero,) * k)
+        solved = not any(x != zero for x in res[:width])
+        out.append(tuple(field.neg(x) for x in res[width:]) if solved else None)
+    return out
 
 
 # -- the subspace table -------------------------------------------------------

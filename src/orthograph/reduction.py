@@ -30,6 +30,11 @@ from .graphs import Graph
 from .ortho import enumerate_orthogonal_reps
 
 
+class CnfParseError(ValueError):
+    """Malformed DIMACS CNF input; message carries the line number where
+    there is one."""
+
+
 @dataclass(frozen=True)
 class Cnf:
     """CNF formula; literals are nonzero ints, sign = polarity, 1-based variables."""
@@ -62,13 +67,21 @@ def parse_dimacs_cnf(text: str) -> Cnf:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
-            num_vars, expected = int(parts[2]), int(parts[3])
+                raise CnfParseError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
+            try:
+                num_vars, expected = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise CnfParseError(f"line {lineno}: non-integer counts") from None
+            if num_vars < 0 or expected < 0:
+                raise CnfParseError(f"line {lineno}: negative counts")
             continue
         if num_vars is None:
-            raise ValueError(f"line {lineno}: clause before problem line")
+            raise CnfParseError(f"line {lineno}: clause before problem line")
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise CnfParseError(f"line {lineno}: non-integer literal {tok!r}") from None
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -77,10 +90,13 @@ def parse_dimacs_cnf(text: str) -> Cnf:
     if current:
         clauses.append(tuple(current))
     if num_vars is None:
-        raise ValueError("missing problem line")
+        raise CnfParseError("missing problem line")
     if expected is not None and len(clauses) != expected:
-        raise ValueError(f"header promises {expected} clauses, found {len(clauses)}")
-    return Cnf(num_vars, tuple(clauses))
+        raise CnfParseError(f"header promises {expected} clauses, found {len(clauses)}")
+    try:
+        return Cnf(num_vars, tuple(clauses))
+    except ValueError as exc:
+        raise CnfParseError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -247,3 +247,77 @@ def test_cli_entry_point_runs_as_module(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p edge 3 3")
+
+
+@pytest.mark.parametrize("argv, make", [
+    (["reduce", "{cnf}"], "p cnf 2 1\n1 x 0\n"),
+    (["reduce", "{cnf}"], "p cnf 2 1\n1 3 0\n"),
+    (["index-code", "{graph}", "--field", "4"], None),
+    (["index-code", "{graph}", "--field", "300"], None),
+    (["solve", "od", "{graph}", "--field", "4"], None),
+])
+def test_malformed_cnf_and_bad_field_tags_are_usage_errors(tmp_path, capsys, argv, make):
+    cnf, graph = tmp_path / "f.cnf", tmp_path / "g.dimacs"
+    cnf.write_text(make or "")
+    graph.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    assert run_cli([a.format(cnf=cnf, graph=graph) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    from orthograph.cli import build_parser
+
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    out = tmp_path / "out.json"
+    calls = [
+        ["solve", "od-local", str(g), "--field", "3", "--dim-cap", "3", "-o", str(out)],
+        ["solve", "od-local", str(g), "--field", "3", "-o", str(out)],
+        ["index-code", str(g), "--field", "2", "--simulate", "5", "-o", str(out)],
+        ["index-code", str(g), "--field", "2", "-o", str(out)],
+        ["solve", "chi", str(g), "--dim-cap", "two"],
+        ["solve", "chi", str(g), "-o", str(out)],
+        ["--help"],
+    ]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        rc = main(argv)
+        text = json.loads(out.read_text()) if out.exists() else None
+        if isinstance(text, dict):
+            text.pop("wallTime", None)
+        captured = capsys.readouterr()
+        return rc, text, captured.out, captured.err
+
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(argv))
+    assert shared == alone
+    assert [rc for rc, *_ in shared] == [0, 0, 0, 0, 2, 0, 0]
+    assert shared[0][1]["witness"]["dimCap"] == 3 and shared[1][1]["witness"]["dimCap"] != 3
+    assert "simulation" in shared[2][1] and "simulation" not in shared[3][1]
+    assert "invalid int value" in shared[4][3]
+    assert shared[6][2].startswith("usage: orthograph")
+
+
+def test_only_named_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch):
+    import orthograph.cli as cli
+    import orthograph.indexcoding as indexcoding
+
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    argv = ["index-code", str(g), "--field", "2", "--method", "compress"]
+    monkeypatch.setattr(indexcoding, "compress_attempt", lambda *args: None)
+    assert run_cli(argv) == 1
+    assert "compression failed 64 times" in capsys.readouterr().err
+
+    def internal_fault(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "code_by_method", internal_fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        run_cli(argv)

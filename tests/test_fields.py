@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from orthograph.fields import (
@@ -99,3 +101,13 @@ def test_canonical_form_of_elements():
     assert GF3.element(-1) == 2
     assert GF3.element(7) == 1
     assert QQ.element(2) * 1 == 2
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(5), PrimeField(31), QQ])
+def test_row_operations_match_entrywise_arithmetic(field):
+    xs = [3, -1, 0, 7] if field is not QQ else [Fraction(3, 4), -1, 0, Fraction(7, 2)]
+    ys = [1, 4, -2, 5] if field is not QQ else [Fraction(1, 3), 4, Fraction(-2, 5), 5]
+    for c in (0, 1, 2, -3) if field is not QQ else (0, 1, Fraction(-2, 3)):
+        assert field.scale(c, xs) == [field.mul(c, x) for x in xs]
+        assert field.sub_scaled(xs, c, ys) == [field.sub(x, field.mul(c, y)) for x, y in zip(xs, ys)]
+    assert all(isinstance(x, Fraction) for x in QQ.sub_scaled(xs, 2, ys) + QQ.scale(2, xs))

@@ -3,13 +3,15 @@ construction routes, and randomized compression."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from orthograph.fields import GF2, PrimeField
-from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph
+from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph, kneser
 from orthograph.indexcoding import (
     IndexCode,
     RepresentingPatternError,
@@ -251,3 +253,57 @@ def test_representing_matrix_of_star_over_gf31_is_pinned():
     assert code.encode_matrix.rows == ((15, 15, 12, 29), (13, 13, 0, 0), (0, 0, 9, 0))
     assert code.decode_coeffs == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (29, 19, 13))
     assert simulate(code, 20, seed=1).failures == 0
+
+
+GRAPHS = {"C5": cycle_graph(5), "C7": cycle_graph(7), "co-C7": complement(cycle_graph(7)), "Petersen": kneser(5, 2)}
+# the graph, field and method of every code the index-code benchmark workload builds
+PINNED_RUNS = [(g, p, m) for g in GRAPHS for p in (2, 3, 5) for m in ("minrank", "local", "compress")]
+PINNED_RUNS += [(g, 31, m) for g in ("C5", "C7", "co-C7") for m in ("local", "compress")]
+
+
+def test_index_codes_are_pinned():
+    # one SHA-256 over each code's length, M, B, lambda and 30-trial report,
+    # so a change to any code or to its simulation moves it
+    h = hashlib.sha256()
+    for name, p, method in PINNED_RUNS:
+        code = code_by_method(GRAPHS[name], PrimeField(p), method, seed=5)
+        r = simulate(code, 30, seed=5)
+        rec = [name, p, method, code.length, code.matrix.rows, code.encode_matrix.rows, code.decode_coeffs,
+               [r.trials, r.failures, r.length]]
+        h.update(json.dumps(rec).encode() + b"\n")
+    assert h.hexdigest() == "61ce01ce01a13d8f9542afe6826d47882eb7fbbb22b352fc73071f5fed149793"
+
+
+def _decode_one_failures(code, trials, seed):
+    """simulate's count, with every receiver decoded through decode_one."""
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(trials):
+        x = [rng.randrange(code.field.size) for _ in range(code.n)]
+        y = encode(code, x)
+        for i in range(code.n):
+            side = {j: x[j] for j in code.graph.neighbors(i)}
+            failures += decode_one(code, i, y, side) != x[i]
+    return failures
+
+
+def test_simulate_agrees_with_decode_one():
+    rng = random.Random(11)
+    for name, p, method in PINNED_RUNS[::2]:
+        code = code_by_method(GRAPHS[name], PrimeField(p), method, seed=1)
+        assert simulate(code, 30, seed=4).failures == _decode_one_failures(code, 30, 4) == 0
+        # one lambda entry, then one off-diagonal M entry inside N(i), moved by +1
+        i, k = rng.randrange(code.n), rng.randrange(code.length)
+        lam = [list(c) for c in code.decode_coeffs]
+        lam[i][k] = (lam[i][k] + 1) % p
+        i = rng.randrange(code.n)
+        j = rng.choice(code.graph.neighbors(i))
+        m = [list(r) for r in code.matrix.rows]
+        m[i][j] = (m[i][j] + 1) % p
+        for bad in (
+            IndexCode(code.field, code.graph, code.matrix, code.encode_matrix, tuple(map(tuple, lam))),
+            IndexCode(code.field, code.graph, Matrix(code.field, tuple(map(tuple, m))), code.encode_matrix,
+                      code.decode_coeffs),
+        ):
+            failures = simulate(bad, 30, seed=4).failures
+            assert failures == _decode_one_failures(bad, 30, 4) > 0, (name, p, method)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from orthograph.linalg import (
     rank,
     schulman_vectors,
     solve_row,
+    solve_rows,
     vandermonde,
     verify_family,
     _SpanTable,
@@ -96,6 +98,82 @@ def test_solve_row_reconstructs_target():
             combo[j] = GF3.add(combo[j], GF3.mul(c, r[j]))
     assert tuple(combo) == (1, 1, 2)
     assert solve_row(rows, (0, 0, 1), GF3) is None
+
+
+def _rref(rows, ncols):
+    """Reference reduced row-echelon form over Q: (rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def test_rational_elimination_matches_reference():
+    rng = random.Random(17)
+    entry = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.7 else Fraction(0)
+    unsolvable = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [tuple(entry() for _ in range(ncols)) for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.4:  # a dependent row
+            c = entry()
+            rows[-1] = tuple(a + c * b for a, b in zip(rows[0], rows[1]))
+        m = Matrix(QQ, tuple(rows))
+        ref, pivots = _rref(rows, ncols)
+        assert rank(m) == len(pivots)
+        want = []
+        for j in (j for j in range(ncols) if j not in pivots):
+            x = [Fraction(0)] * ncols
+            x[j] = Fraction(1)
+            for row, p in zip(ref, pivots):
+                x[p] = -row[j]
+            want.append(tuple(x))
+        null = nullspace_basis(m)
+        assert null == want and all(isinstance(x, Fraction) for v in null for x in v)
+        # targets in the row space and, where one exists, outside it
+        basis = _independent(rows, ncols)
+        for target in (tuple(entry() for _ in range(ncols)), rows[0]):
+            lam = solve_row(basis, target, QQ)
+            inside = len(_rref(basis + [target], ncols)[1]) == len(basis)
+            assert (lam is not None) == inside
+            if lam is None:
+                unsolvable += 1
+                continue
+            assert all(isinstance(c, Fraction) for c in lam)
+            assert tuple(sum((c * r[k] for c, r in zip(lam, basis)), Fraction(0)) for k in range(ncols)) == target
+            # independent rows: lambda is unique, so it is the reference's own solution
+            ref_t, _ = _rref([list(col) + [t] for col, t in zip(zip(*basis), target)], len(basis) + 1)
+            assert lam == tuple(row[-1] for row in ref_t)
+    assert unsolvable > 20
+
+
+def _independent(rows, ncols):
+    """The rows that raise the reference rank, in order."""
+    out = []
+    for r in rows:
+        if len(_rref(out + [r], ncols)[1]) > len(out):
+            out.append(r)
+    return out
+
+
+def test_solve_rows_is_solve_row_per_target():
+    rng = random.Random(3)
+    for p in (2, 5, 31):
+        f = PrimeField(p)
+        rows = [tuple(rng.randrange(p) for _ in range(5)) for _ in range(3)]
+        targets = [tuple(rng.randrange(p) for _ in range(5)) for _ in range(6)] + rows
+        assert solve_rows(rows, targets, f) == [solve_row(rows, t, f) for t in targets]
+    assert solve_rows([(1, 0)], [], GF2) == []
 
 
 def test_vandermonde_values_and_subset_independence():
