@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from orthograph import (
     GF2,
-    Representation,
     chromatic_number,
     coloring_locality,
     complement,
@@ -47,8 +46,7 @@ def main() -> None:
           f"locality {rep_locality(g, lod.witness)})")
 
     mr = minrank(g, GF2)
-    rep = Representation(GF2, mr.value, mr.witness, kind="independent")
-    assert independence_violations(complement(g), rep) == []
+    assert independence_violations(complement(g), mr.witness) == []
     print(f"minrank over GF(2)         = {mr.value}  (witness re-verified)")
 
     print()

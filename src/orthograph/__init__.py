@@ -55,7 +55,6 @@ from .coloring import (
     max_clique,
 )
 from .ortho import (
-    LocalOdResult,
     Representation,
     coloring_to_rep,
     find_independent_rep,

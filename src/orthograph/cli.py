@@ -130,45 +130,34 @@ def _ints(params: Sequence[str], want: int) -> list[int]:
 
 
 def _solve_certificate(param: str, g: Graph, field: Optional[PrimeField], dim_cap: Optional[int]) -> dict:
-    cert: dict = {"schema": SCHEMA, "command": f"solve {param}", "param": param}
     if param == "chi":
         res = chromatic_number(g)
-        cert.update(value=res.value, exact=True, witness={"coloring": list(res.witness)})
     elif param == "chi-local":
         res = local_chromatic_number(g)
-        cert.update(value=res.value, exact=True, witness={"coloring": list(res.witness)})
     elif param == "od":
         res = orthogonality_dimension(g, field)
-        cert.update(
-            value=res.value,
-            exact=True,
-            field=field.name,
-            witness={"t": res.value, "vectors": [list(v) for v in res.witness]},
-        )
     elif param == "od-local":
         res = local_orthogonality_dimension(g, field, dim_cap=dim_cap)
-        cert.update(
-            value=res.value,
-            exact=res.exact_under_cap,
-            exactUnderCap=res.exact_under_cap,
-            field=field.name,
-            witness={
-                "t": res.witness.t,
-                "vectors": [list(v) for v in res.witness.vectors],
-                "dimCap": res.dim_cap,
-            },
-        )
     elif param == "minrank":
         res = minrank(g, field)
-        cert.update(
-            value=res.value,
-            exact=True,
-            field=field.name,
-            witness={"t": res.value, "vectors": [list(v) for v in res.witness]},
-        )
     else:
         raise UsageError(f"unknown parameter {param!r}")
-    cert["lowerBoundReason"] = getattr(res, "lower_bound_reason", "")
+    cert: dict = {
+        "schema": SCHEMA,
+        "command": f"solve {param}",
+        "param": param,
+        "value": res.value,
+        "exact": True,
+        "lowerBoundReason": res.lower_bound_reason,
+    }
+    if isinstance(res.witness, Representation):
+        rep = res.witness
+        cert.update(field=rep.field.name, witness={"t": rep.t, "vectors": [list(v) for v in rep.vectors]})
+    else:
+        cert["witness"] = {"coloring": list(res.witness)}
+    if res.dim_cap is not None:
+        cert["exactUnderCap"] = True
+        cert["witness"]["dimCap"] = res.dim_cap
     return cert
 
 
@@ -281,7 +270,10 @@ def _verify_index_code(cert: dict, g: Graph) -> list[str]:
 
 def cmd_verify(args) -> int:
     with open(args.certificate) as fh:
-        cert = json.load(fh)
+        try:
+            cert = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also too deep, or an int past the digit limit
+            raise UsageError(str(exc)) from None
     g = _load_graph(args.graph)
     if not isinstance(cert, dict):
         print("unrecognized certificate layout", file=sys.stderr)
@@ -438,8 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FieldTooSmallError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (UsageError, DimacsParseError, CnfParseError, FileNotFoundError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (UsageError, DimacsParseError, CnfParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CompressionError as exc:

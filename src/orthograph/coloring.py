@@ -1,6 +1,9 @@
 """Exact chromatic number, exact local chromatic number, and max-clique,
 with witnesses that re-verify independently of the search path.
 
+ParamResult is the result type of every exact solver in the package,
+the vector parameters of ortho included.
+
 The local chromatic number of a coloring is the maximum number of distinct
 colors on a closed neighborhood.  No published algorithm exists for the
 exact local chromatic number; the decision procedure here backtracks over
@@ -28,13 +31,16 @@ class ImproperColoringError(ValueError):
 
 @dataclass(frozen=True)
 class ParamResult:
-    """Exact value of a graph parameter with a machine-checkable witness."""
+    """Exact value of a graph parameter with a machine-checkable witness: a
+    vertex tuple (clique), a color tuple (chi, chi_local), or an
+    ortho.Representation (od, od_local, minrank).  dim_cap None means exact
+    outright; an int means exact among representations in F^t, t <= dim_cap."""
 
     param: str
     value: int
-    witness: tuple
+    witness: object
     lower_bound_reason: str  # exhausted-search | clique | odd-cycle | bipartite-test | theorem-citation
-    exact: bool = True
+    dim_cap: Optional[int] = None
 
 
 def check_proper(g: Graph, colors: Sequence[int]) -> None:

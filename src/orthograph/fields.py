@@ -11,10 +11,14 @@ conjugation in any field.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 MAX_PRIME = 251  # one byte per residue
+# a rational read from text: a, a/b with b nonzero, or a plain decimal; no
+# exponent, since Fraction("1e999999999") would build a billion-digit integer
+_RATIONAL = re.compile(r"[+-]?(\d+(/\d*[1-9]\d*)?|\d*\.\d+)")
 
 
 def is_prime(n: int) -> bool:
@@ -33,10 +37,10 @@ class PrimeField:
     """The prime field GF(p), 2 <= p <= 251.  Elements are ints in [0, p)."""
 
     def __init__(self, p: int):
+        if p > MAX_PRIME:  # checked first: trial division of a large order would take long
+            raise ValueError(f"field order {p} exceeds the supported maximum {MAX_PRIME}")
         if not is_prime(p):
             raise ValueError(f"field order {p} is not prime")
-        if p > MAX_PRIME:
-            raise ValueError(f"field order {p} exceeds the supported maximum {MAX_PRIME}")
         self.p = p
 
     # -- raw operations on canonical residues ---------------------------------
@@ -128,6 +132,8 @@ class RationalField:
         return Fraction(1)
 
     def element(self, x) -> Fraction:
+        if isinstance(x, str) and not _RATIONAL.fullmatch(x.strip()):
+            raise ValueError(f"{x!r} is not a rational number a, a/b or a decimal")
         return Fraction(x)
 
     def add(self, a, b) -> Fraction:

@@ -181,7 +181,8 @@ def encode(code: IndexCode, x: Sequence) -> tuple:
     """Broadcast word y = B x for a message x in F^n."""
     if len(x) != code.n:
         raise ValueError(f"message length {len(x)} != n={code.n}")
-    return code.encode_matrix.mul_vec(x)
+    p = code.field.p
+    return tuple(sum(b * xj for b, xj in zip(row, x)) % p for row in code.encode_matrix.rows)
 
 
 def decode_one(code: IndexCode, i: int, y: Sequence, side_info: dict) -> object:
@@ -220,7 +221,7 @@ def code_from_local_coloring(g: Graph, colors: Sequence[int], vectors: Sequence[
     if len(vectors) < len(palette):
         raise ValueError(f"{len(palette)} colors but only {len(vectors)} vectors")
     index = {c: k for k, c in enumerate(palette)}
-    t = len(vectors[0])
+    t = len(vectors[0]) if vectors else 0  # no vectors: the graph has no vertices
     for v in range(h.n):
         basis = EchelonBasis(field, t)
         for u in _bits(h.closed(v)):
@@ -260,12 +261,10 @@ def code_by_method(g: Graph, field: PrimeField, method: str, seed: int = 0) -> I
     randomly compresses the coloring-induced orthogonal representation of
     the complement."""
     from .coloring import local_chromatic_number
-    from .ortho import Representation as Rep, coloring_to_rep, minrank
+    from .ortho import coloring_to_rep, minrank
 
     if method == "minrank":
-        res = minrank(g, field)
-        rep = Rep(field, res.value, res.witness, kind="independent")
-        return code_from_minrank_witness(g, rep)
+        return code_from_minrank_witness(g, minrank(g, field).witness)
     if method == "local":
         colors = local_chromatic_number(complement(g)).witness
         return code_from_coloring(g, list(colors), field)

@@ -1,6 +1,9 @@
 """Orthogonal and independent representations of graphs: verification,
 locality, and exact solvers for the orthogonality dimension, its local
-variant, and minrank over prime fields.
+variant, and minrank over prime fields.  The three solvers return a
+coloring.ParamResult whose witness is the Representation, with its field,
+t and kind; only the local variant, exact only under its dimension cap,
+sets dim_cap.
 
 An orthogonal representation assigns to each vertex a vector with nonzero
 self inner product, orthogonal across every edge.  Its locality is the
@@ -86,17 +89,6 @@ class Representation:
         for v in self.vectors:
             if len(v) != self.t:
                 raise ValueError(f"vector of length {len(v)}, expected {self.t}")
-
-
-@dataclass(frozen=True)
-class LocalOdResult:
-    """Exact-under-cap local orthogonality dimension with witness."""
-
-    value: int
-    witness: Representation
-    dim_cap: int
-    exact_under_cap: bool
-    lower_bound_reason: str
 
 
 # -- verification -------------------------------------------------------------
@@ -298,13 +290,13 @@ def orthogonality_dimension(
     if g.n > vertex_cap:
         raise CapExceededError(f"orthogonality_dimension vertex cap {vertex_cap} exceeded (n={g.n})")
     if g.n == 0:
-        return ParamResult("od", 0, (), "exhausted-search")
+        return ParamResult("od", 0, Representation(field, 0, ()), "exhausted-search")
     omega = max_clique(g).value
     reason = "clique"
     for t in range(max(omega, 1), dim_cap + 1):
         rep = find_orthogonal_rep(g, field, t)
         if rep is not None:
-            return ParamResult("od", t, rep.vectors, reason)
+            return ParamResult("od", t, rep, reason)
         reason = "exhausted-search"
     raise CapExceededError(f"no orthogonal representation within dimension cap {dim_cap}")
 
@@ -314,12 +306,12 @@ def local_orthogonality_dimension(
     field: PrimeField,
     dim_cap: Optional[int] = None,
     vertex_cap: int = DEFAULT_LOCAL_OD_VERTEX_CAP,
-) -> LocalOdResult:
+) -> ParamResult:
     """Exact-under-cap local orthogonality dimension: least achievable
     closed-neighborhood rank over representations in F^t, t <= dim_cap.
 
     Whether ambient dimension n always suffices for the optimum over a finite
-    field is open, so results carry the cap honestly in exact_under_cap.
+    field is open, so the result carries the cap in its dim_cap.
     """
     if g.n > vertex_cap:
         raise CapExceededError(f"local_orthogonality_dimension vertex cap {vertex_cap} exceeded (n={g.n})")
@@ -327,7 +319,7 @@ def local_orthogonality_dimension(
         dim_cap = max(g.n, 1)
     lb, reason = local_lower_bound(g)
     if g.n == 0:
-        return LocalOdResult(0, Representation(field, 0, ()), dim_cap, True, "bipartite-test")
+        return ParamResult("od_local", 0, Representation(field, 0, ()), reason, dim_cap)
     for ell in range(max(lb, 1), min(g.n, dim_cap) + 1):
         # t = ell first; failing that, one search at dim_cap decides ell (as
         # in has_local_rep), and the t between are walked only once it
@@ -338,7 +330,7 @@ def local_orthogonality_dimension(
             reps = (find_orthogonal_rep(g, field, t, locality=ell) for t in range(ell + 1, dim_cap))
             rep = next((r for r in reps if r is not None), top)
         if rep is not None:
-            return LocalOdResult(ell, rep, dim_cap, True, reason)
+            return ParamResult("od_local", ell, rep, reason, dim_cap)
         reason = "exhausted-search"
     raise CapExceededError(f"no representation found with dimension cap {dim_cap}")
 
@@ -418,11 +410,10 @@ def minrank(g: Graph, field: PrimeField, cap: int = DEFAULT_MINRANK_CAP) -> Para
     if g.n > cap:
         raise CapExceededError(f"minrank cap {cap} exceeded (n={g.n})")
     if g.n == 0:
-        return ParamResult("minrank", 0, (), "exhausted-search")
+        return ParamResult("minrank", 0, Representation(field, 0, (), kind="independent"), "exhausted-search")
     h = complement(g)
-    reason = "exhausted-search"
     for t in range(1, g.n + 1):
         rep = find_independent_rep(h, field, t)
         if rep is not None:
-            return ParamResult("minrank", t, rep.vectors, reason if t > 1 else "exhausted-search")
+            return ParamResult("minrank", t, rep, "exhausted-search")
     raise AssertionError("unreachable: standard basis is always an independent representation")

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .coloring import check_proper
 from .fields import PrimeField
-from .graphs import Graph
+from .graphs import MAX_VERTICES, CapExceededError, Graph
 from .ortho import enumerate_orthogonal_reps
 
 
@@ -117,7 +117,13 @@ def _padded_clauses(cnf: Cnf) -> list[tuple[int, ...]]:
 def build_g(cnf: Cnf) -> GadgetGraph:
     """First reduction stage.  Vertex numbering is deterministic: w=0, t=1,
     f=2, literal pairs by variable index, then OR-gadget vertices clause by
-    clause (two middles then the top, top of the last gadget = t)."""
+    clause (two middles then the top, top of the last gadget = t).  The
+    vertex count is checked against MAX_VERTICES before anything is built,
+    since num_vars comes from the input."""
+    clauses = _padded_clauses(cnf)
+    n = 3 + 2 * cnf.num_vars + sum(3 * len(c) - 4 for c in clauses)  # a clause of length L adds 3L - 4
+    if n > MAX_VERTICES:
+        raise CapExceededError(f"vertex count {n} exceeds MAX_VERTICES = {MAX_VERTICES}")
     roles: list[tuple] = [("w",), ("t",), ("f",)]
     edges: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
     W, T = 0, 1
@@ -129,7 +135,7 @@ def build_g(cnf: Cnf) -> GadgetGraph:
         lit_vertex[i] = pos
         lit_vertex[-i] = pos + 1
         edges += [(pos, pos + 1), (W, pos), (W, pos + 1)]
-    for ci, clause in enumerate(_padded_clauses(cnf)):
+    for ci, clause in enumerate(clauses):
         base = lit_vertex[clause[0]]
         for gi in range(len(clause) - 1):
             other = lit_vertex[clause[gi + 1]]

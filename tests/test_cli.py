@@ -321,3 +321,57 @@ def test_only_named_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "code_by_method", internal_fault)
     with pytest.raises(ValueError, match="internal fault"):
         run_cli(argv)
+
+
+@pytest.mark.parametrize("method", ["minrank", "local", "compress"])
+def test_index_code_on_a_graph_with_no_vertices(tmp_path, capsys, method):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 0 0\n")
+    out = tmp_path / "code.json"
+    assert run_cli(["index-code", str(g), "--field", "2", "--method", method, "--simulate", "3",
+                    "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["length"] == 0 and payload["encodeMatrix"] == []
+    assert payload["simulation"] == {"trials": 3, "failures": 0, "length": 0}
+    assert run_cli(["verify", str(out), str(g)]) == 0
+    capsys.readouterr()
+
+
+def test_unreadable_and_unwritable_paths_are_usage_errors(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    cert = tmp_path / "cert.json"
+    assert run_cli(["solve", "chi", str(g), "-o", str(cert)]) == 0
+    for argv in (
+        ["solve", "chi", str(folder)],
+        ["reduce", str(folder)],
+        ["verify", str(folder), str(g)],
+        ["verify", str(cert), str(folder)],
+        ["solve", "chi", str(g), "-o", str(folder)],
+        ["index-code", str(g), "--field", "2", "-o", str(folder / "missing" / "code.json")],
+    ):
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _rational_cert(entry):
+    return json.dumps({"param": "od", "field": "Q", "value": 2,
+                       "witness": {"t": 2, "vectors": [[entry, 0], [0, 1]]}})
+
+
+@pytest.mark.parametrize("text, code", [
+    ("[" * 100000, 2),  # nests past the recursion limit
+    ('{"param": "chi", "value": ' + "9" * 5000 + "}", 2),  # an int past the digit limit
+    (_rational_cert("1/0"), 1),
+    (_rational_cert("1e100000000"), 1),  # Fraction would build a 10^8-digit integer
+    (_rational_cert("1/2"), 0),
+])
+def test_verify_maps_hostile_certificates_to_exit_codes(tmp_path, capsys, text, code):
+    g, cert = tmp_path / "g.dimacs", tmp_path / "cert.json"
+    g.write_text("p edge 2 1\ne 1 2\n")
+    cert.write_text(text)
+    assert run_cli(["verify", str(cert), str(g)]) == code
+    capsys.readouterr()

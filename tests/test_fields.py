@@ -111,3 +111,17 @@ def test_row_operations_match_entrywise_arithmetic(field):
         assert field.scale(c, xs) == [field.mul(c, x) for x in xs]
         assert field.sub_scaled(xs, c, ys) == [field.sub(x, field.mul(c, y)) for x, y in zip(xs, ys)]
     assert all(isinstance(x, Fraction) for x in QQ.sub_scaled(xs, 2, ys) + QQ.scale(2, xs))
+
+
+def test_large_orders_are_rejected_before_the_primality_test():
+    # 10**18 + 3 is prime: trial division up to its square root would take minutes
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        PrimeField(10**18 + 3)
+
+
+def test_rational_strings_are_read_only_in_plain_forms():
+    assert [QQ.element(s) for s in ("3", "-1/2", " 4/6 ", "0.25", "+.5")] == [
+        3, Fraction(-1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(1, 2)]
+    for bad in ("1/0", "2/00", "1e5", "1e100000000", "abc", "1/-2", ""):
+        with pytest.raises(ValueError):
+            QQ.element(bad)

@@ -21,7 +21,6 @@ from orthograph.indexcoding import (
     code_by_method,
     code_from_coloring,
     code_from_local_coloring,
-    code_from_minrank_witness,
     compress_attempt,
     compress_representation,
     decode_one,
@@ -38,11 +37,6 @@ from orthograph.ortho import (
 )
 
 GF5 = PrimeField(5)
-
-
-def minrank_rep(g, field):
-    res = minrank(g, field)
-    return Representation(field, res.value, res.witness, kind="independent")
 
 
 def test_check_representing_pattern():
@@ -79,7 +73,7 @@ def test_representing_matrix_rejects_invalid_rep():
 
 def test_c5_minrank_code_length_three():
     c5 = cycle_graph(5)
-    m = representing_matrix(c5, minrank_rep(c5, GF2))
+    m = representing_matrix(c5, minrank(c5, GF2).witness)
     assert rank(m) == 3
     code = build_code(c5, m)
     assert code.length == 3

@@ -123,7 +123,7 @@ def test_orthogonality_dimension_caps():
 
 def test_local_orthogonality_dimension_cycles():
     res4 = local_orthogonality_dimension(cycle_graph(4), GF2)
-    assert res4.value == 2 and res4.exact_under_cap
+    assert res4.value == 2 and res4.dim_cap == 4
     res5 = local_orthogonality_dimension(cycle_graph(5), GF2)
     assert res5.value == 3
     assert res5.lower_bound_reason == "odd-cycle"
@@ -367,9 +367,9 @@ def test_minrank_petersen_witness_is_pinned(p):
     res = minrank(kneser(5, 2), PrimeField(p))
     assert res.value == 5
     e = [tuple(int(i == j) for j in range(5)) for i in range(5)]
-    assert res.witness == (e[0], e[1], e[2], e[3], e[3], e[1], e[4], e[4], e[2], e[0])
-    rep = Representation(PrimeField(p), 5, res.witness, kind="independent")
-    assert independence_violations(complement(kneser(5, 2)), rep) == []
+    assert res.witness.vectors == (e[0], e[1], e[2], e[3], e[3], e[1], e[4], e[4], e[2], e[0])
+    assert res.witness.t == 5 and res.witness.kind == "independent"
+    assert independence_violations(complement(kneser(5, 2)), res.witness) == []
 
 
 def test_minrank_baselines():
@@ -381,8 +381,8 @@ def test_minrank_baselines():
 def test_minrank_c5_with_witness():
     res = minrank(cycle_graph(5), GF2)
     assert res.value == 3
-    rep = Representation(GF2, 3, res.witness, kind="independent")
-    assert independence_violations(complement(cycle_graph(5)), rep) == []
+    assert res.witness.t == 3 and res.witness.kind == "independent"
+    assert independence_violations(complement(cycle_graph(5)), res.witness) == []
 
 
 def test_minrank_petersen_gf2():

@@ -7,7 +7,7 @@ import pytest
 
 from orthograph.coloring import chromatic_number, coloring_locality, k_colorable
 from orthograph.fields import GF2, GF3, PrimeField
-from orthograph.graphs import induced_subgraph
+from orthograph.graphs import MAX_VERTICES, CapExceededError, induced_subgraph
 from orthograph.ortho import coloring_to_rep, rep_locality
 from orthograph.reduction import (
     Cnf,
@@ -205,3 +205,14 @@ def test_gadget_census_is_pinned(p, drop, enumerated, counterexamples, first):
         counterexamples,
         first,
     )
+
+
+def test_vertex_count_is_checked_before_building():
+    # a unit clause pads to length 2 (2 vertices), a 3-clause adds 5
+    clauses = ((1,), (1, 2, 3))
+    assert build_g(Cnf(2043, clauses)).graph.n == MAX_VERTICES == 4096
+    with pytest.raises(CapExceededError, match="vertex count 4098 exceeds"):
+        build_g(Cnf(2044, clauses))
+    # a billion variables would take gigabytes to build; the count alone refutes it
+    with pytest.raises(CapExceededError, match="vertex count 2000000005 exceeds"):
+        build_g(Cnf(10**9, ((1, 2),)))
