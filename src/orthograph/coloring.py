@@ -8,9 +8,12 @@ The local chromatic number of a coloring is the maximum number of distinct
 colors on a closed neighborhood.  No published algorithm exists for the
 exact local chromatic number; the decision procedure here backtracks over
 proper colorings with at most n colors, introduces a new color only as the
-smallest unused index, and prunes on per-closed-neighborhood color counts.
-Both backtracking searches update their state at each assignment and undo
-it on backtrack, so no search node rescans the graph.
+smallest unused index, and prunes whenever some uncolored vertex has no
+color left.  It keeps, per color, a mask of the vertices where that color
+is forbidden, so a node counts every vertex's options with a few big-int
+operations per color rather than a loop over the vertices.  Both
+backtracking searches update their state at each assignment and undo it
+on backtrack, so no search node walks the graph vertex by vertex.
 """
 
 from __future__ import annotations
@@ -228,13 +231,31 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
     """Proper coloring of g whose every closed neighborhood carries at most
     ell distinct colors, or None if none exists.
 
-    Backtracking with most-constrained-vertex branching (the first vertex in
-    index order with the fewest options).  Colors on saturated closed
-    neighborhoods (already ell distinct colors) constrain every uncolored
-    member to those colors, which is the main pruning device; a bitmask of
-    the saturated neighborhoods lets each vertex read only its saturated
-    ones.  Undoing a color clears exactly the bits its assignment set.  The
-    search runs on an explicit stack, so it has no recursion limit."""
+    Backtracking with most-constrained-vertex branching (the lowest-index
+    vertex with the fewest options).  A closed neighborhood that carries ell
+    colors is saturated: its uncolored members may take only those colors,
+    which is the main pruning device.  The state is a few bitmasks over the
+    vertices: per color c, near[c], the closed neighborhoods of the vertices
+    colored c, and blk[c], the saturated closed neighborhoods that lack c;
+    sat_cover, the union of the saturated neighborhoods; and, per center, the
+    number of colors on its closed neighborhood as bit planes.  Closed
+    neighborhoods are symmetric (u lies in N[w] exactly when w lies in N[u]),
+    so near[c] is also the set of centers whose neighborhood carries c.
+
+    The uncolored vertices that can take color c are those outside near[c]
+    and blk[c]; a new color is open to those outside sat_cover while fewer
+    than max_colors are used.  Each node adds these masks into a bit-plane
+    counter, a few big-int operations per color instead of a loop over the
+    vertices.  It prunes when any uncolored vertex has no option left, and
+    otherwise branches on the lowest-index vertex with the fewest options,
+    trying its colors in increasing order with the new color last.  Options
+    only shrink along a branch, so the prune loses no solution: the answer
+    and the witness are those of a search that stops at the first vertex
+    without options in index order.  A saturated neighborhood's colors cannot
+    change while its branch lives, so every mask only grows along a branch;
+    each frame keeps the state as it was before its vertex was colored, and
+    undoing a color restores it.  The search runs on an explicit stack, so it
+    has no recursion limit."""
     n = g.n
     if n == 0:
         return []
@@ -243,46 +264,45 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
     if max_colors is None:
         max_colors = n  # any proper coloring can be assumed to use <= n colors
     closed = [g.closed(v) for v in range(n)]
-    members = [_bits(m) for m in closed]
-    nbrs = [_bits(a) for a in g.adj]
     colors = [-1] * n
-    nbr_mask = [0] * n  # colors taken by assigned neighbors, for uncolored vertices
-    seen_mask = [0] * n  # colors among assigned vertices of the closed neighborhood
-    saturated = 0  # closed neighborhoods (by center) with at least ell colors
-    used = 0
+    uncolored = (1 << n) - 1
+    near: list[int] = []  # one mask per used color, so len(near) colors are used
+    blk: list[int] = []
+    sat_cover = 0
+    # bit i of the number of colors on each closed neighborhood, by center;
+    # no count exceeds ell
+    counts = (0,) * ell.bit_length()
 
     def branch():
         """A frame for the most constrained uncolored vertex, True once every
         vertex is colored, or None when some vertex has no option left."""
-        free = (1 << used) - 1
-        any_new = used < max_colors
-        best_v, best_cnt = None, n + 2
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            mask = free & ~nbr_mask[v]
-            full = closed[v] & saturated
-            can_new = any_new and not full
-            while full:
-                w = full & -full
-                full ^= w
-                mask &= seen_mask[w.bit_length() - 1]
-            cnt = mask.bit_count() + can_new
-            if cnt < best_cnt:
-                if cnt == 0:
-                    return None
-                best_v, best_mask, best_new, best_cnt = v, mask, can_new, cnt
-                if cnt == 1:
-                    break
-        if best_v is None:
+        if not uncolored:
             return True
-        options = _bits(best_mask)
-        if best_new:
-            options.append(used)
-        return [best_v, options, 0, used, (), ()]
+        options = [uncolored & ~(taken | blocked) for taken, blocked in zip(near, blk)]
+        if len(near) < max_colors:
+            options.append(uncolored & ~sat_cover)
+        planes: list[int] = []  # bit i of each vertex's option count
+        somewhere = 0
+        for carry in options:
+            somewhere |= carry
+            for i, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[i] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        if uncolored & ~somewhere:
+            return None
+        fewest = uncolored
+        for plane in reversed(planes):
+            if fewest & ~plane:
+                fewest &= ~plane
+        v = (fewest & -fewest).bit_length() - 1
+        return [v, [c for c, m in enumerate(options) if m >> v & 1], 0, near, blk, sat_cover, counts]
 
-    # one frame per colored vertex: [vertex, its options, next option,
-    # `used` before it, closed neighborhoods and neighbors the last option marked]
+    # one frame per colored vertex: [vertex, its options, next option, and
+    # near, blk, sat_cover and counts before it]
     stack: list = []
     top = branch()
     while True:
@@ -293,38 +313,36 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
         if not stack:
             return None
         frame = stack[-1]
-        v, options, k, used, touched, hit = frame
-        if colors[v] >= 0:  # undo the option tried last
-            bit = 1 << colors[v]
-            for w in touched:
-                seen_mask[w] ^= bit
-                if seen_mask[w].bit_count() < ell:
-                    saturated &= ~(1 << w)
-            for u in hit:
-                nbr_mask[u] ^= bit
+        # restoring the state before v undoes the option tried last
+        v, options, k, near, blk, sat_cover, counts = frame
         if k == len(options):
             colors[v] = -1
+            uncolored |= 1 << v
             stack.pop()
             top = None
             continue
         c = options[k]
         frame[2] = k + 1
-        bit = 1 << c
         colors[v] = c
-        used = max(used, c + 1)
-        ok, touched = True, []
-        for w in members[v]:
-            if not seen_mask[w] & bit:
-                seen_mask[w] |= bit
-                touched.append(w)
-                if seen_mask[w].bit_count() >= ell:
-                    saturated |= 1 << w
-                    ok = ok and seen_mask[w].bit_count() == ell
-        hit = [u for u in nbrs[v] if colors[u] < 0 and not nbr_mask[u] & bit]
-        for u in hit:
-            nbr_mask[u] |= bit
-        frame[4:] = touched, hit
-        top = branch() if ok else None
+        uncolored &= ~(1 << v)
+        near, blk = near.copy(), blk.copy()
+        if c == len(near):  # a new color: on no vertex, in no saturated neighborhood
+            near.append(0)
+            blk.append(sat_cover)
+        fresh = closed[v] & ~near[c]  # centers whose neighborhoods gain color c
+        near[c] |= closed[v]
+        carry, full, bumped = fresh, fresh, []
+        for i, plane in enumerate(counts):
+            plane, carry = plane ^ carry, plane & carry
+            bumped.append(plane)
+            full &= plane if ell >> i & 1 else ~plane
+        counts = tuple(bumped)
+        for w in _bits(full):  # centers whose neighborhoods now carry ell colors
+            sat_cover |= closed[w]
+            for d, m in enumerate(near):
+                if not m >> w & 1:
+                    blk[d] |= closed[w]
+        top = branch()
 
 
 def local_lower_bound(g: Graph, omega: Optional[int] = None) -> tuple[int, str]:

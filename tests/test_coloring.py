@@ -26,6 +26,7 @@ from orthograph.coloring import (
     num_colors,
 )
 from orthograph.graphs import (
+    MAX_VERTICES,
     Graph,
     complete_graph,
     cycle_graph,
@@ -208,13 +209,16 @@ def test_locality_decision_on_odd_cycle():
 
 
 def test_locality_decision_long_cycles_need_no_recursion():
-    # one search frame per colored vertex, past the default recursion limit
-    for n in (1100, 1101):
+    # one search frame per colored vertex, past the default recursion limit,
+    # up to the largest cycles Graph allows, on which a search that scans the
+    # vertices at every node takes seconds
+    for n in (1100, 1101, MAX_VERTICES):
         g = cycle_graph(n)
         colors = locality_decision(g, 3)
         assert colors is not None
         assert coloring_locality(g, colors) <= 3
-    assert locality_decision(cycle_graph(1101), 2) is None
+    for n in (1101, MAX_VERTICES - 1):
+        assert locality_decision(cycle_graph(n), 2) is None
 
 
 def _brute_locality(g: Graph, ell: int, max_colors) -> bool:
@@ -228,23 +232,38 @@ def _brute_locality(g: Graph, ell: int, max_colors) -> bool:
     )
 
 
-def test_locality_decision_answers_are_pinned():
-    # every answer on the atlas graphs with at most 6 vertices, in atlas order;
+def _locality_answers(graphs) -> list:
+    # every answer for ell = 1..4 and max_colors None, 2, 3, each checked;
     # decisions on graphs with at most 5 vertices also match brute force
     out = []
-    for g in _atlas(6):
+    for g in graphs:
         for ell in (1, 2, 3, 4):
             for max_colors in (None, 2, 3):
                 colors = locality_decision(g, ell, max_colors)
+                bound = g.n if max_colors is None else max_colors
                 if colors is not None:
                     assert coloring_locality(g, colors) <= ell
-                    assert num_colors(colors) <= (g.n if max_colors is None else max_colors)
+                    assert num_colors(colors) <= bound
                 if g.n <= 5:
-                    bound = g.n if max_colors is None else max_colors
                     assert (colors is not None) == _brute_locality(g, ell, bound)
                 out.append(colors)
+    return out
+
+
+def test_locality_decision_answers_are_pinned():
+    # the atlas graphs with at most 6 vertices, in atlas order
+    out = _locality_answers(_atlas(6))
     assert len(out) == 2508 and sum(c is None for c in out) == 1477
     assert _digest(out) == "f1df20ceb2ef3a04d3fbb49f0e01a18014327a1291b9b1538d2bf6d63f4b1f1a"
+
+
+def test_locality_decision_answers_on_seven_vertices_are_pinned():
+    # the 1,044 atlas graphs with exactly 7 vertices, in atlas order; the
+    # digest was taken from the search that scanned the vertices for its
+    # branching vertex and pruned only at the first one without options
+    out = _locality_answers(g for g in _atlas(7) if g.n == 7)
+    assert len(out) == 12528 and sum(c is None for c in out) == 9099
+    assert _digest(out) == "f98ab484ed07764d63a3112e7bb2f368a3d9a52ccf44e9eb2aab02512c78bfdc"
 
 
 def test_locality_can_beat_color_count():
@@ -275,6 +294,16 @@ def test_local_chromatic_number_witness_verifies():
     res = local_chromatic_number(g)
     assert res.value == 4
     assert coloring_locality(g, res.witness) == 4
+
+
+def test_local_chromatic_number_of_kneser_graphs():
+    # chi_local = chi on K(8,3) (56 vertices) and K(9,3) (84 vertices)
+    g = kneser(8, 3)
+    res = local_chromatic_number(g)
+    assert res.value == 4 and coloring_locality(g, res.witness) == 4
+    g = kneser(9, 3)
+    res = local_chromatic_number(g, cap=84)
+    assert res.value == 5 and coloring_locality(g, res.witness) == 5
 
 
 def test_local_chromatic_below_chromatic():

@@ -1,6 +1,7 @@
 """Inequalities between the graph parameters, over GF(2) and GF(3): as
-property tests over random graphs with at most 6 vertices, and over every
-atlas graph with at most 6 vertices."""
+property tests over random graphs with at most 6 vertices (8 for the
+coloring parameters alone), and over every atlas graph with at most 6
+vertices."""
 
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ def graphs(draw, max_n: int = 6) -> Graph:
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs())
+@given(graphs(max_n=8))
 def test_clique_below_local_chromatic_below_chromatic(g):
     omega = max_clique(g).value
     chi_local = local_chromatic_number(g)
