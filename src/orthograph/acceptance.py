@@ -149,18 +149,21 @@ def check_schrijver_local_dimension() -> str:
 
 
 def check_gadget_lemma() -> str:
-    """Exhaustive dichotomy check of the 6-vertex gadget over GF(2) and GF(3),
-    plus a mutated-gadget negative control that must fail."""
-    for f in (GF2, GF3):
+    """Exhaustive dichotomy check of the 6-vertex gadget over GF(2), GF(3)
+    and GF(5), plus a mutated-gadget negative control that must give exactly
+    24 counterexamples over GF(3)."""
+    for f in (GF2, GF3, GF5):
         rep = certify_gadget_lemma(f)
         assert rep.counterexamples == 0, (
             f"GF({f.size}): {rep.counterexamples} counterexamples, first {rep.first_counterexample}"
         )
         assert rep.enumerated > 0
     control = certify_gadget_lemma(GF3, drop_matching_edge=True)
-    assert control.counterexamples >= 1, "mutated gadget produced no counterexample"
+    assert control.counterexamples == 24, (
+        f"mutated gadget produced {control.counterexamples} counterexamples, expected 24"
+    )
     return (
-        f"gadget dichotomy holds over GF(2) and GF(3); "
+        f"gadget dichotomy holds over GF(2), GF(3) and GF(5); "
         f"negative control found {control.counterexamples} counterexamples"
     )
 

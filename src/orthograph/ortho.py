@@ -45,6 +45,15 @@ and refine gives the classes of the child node.  The rule cuts subtrees
 that hold solutions, so it keeps every decision, though not necessarily
 the witness an unreduced search would find first.
 
+enumerate_orthogonal_reps and the gadget census of
+reduction.certify_gadget_lemma share one walk, _orthogonal_walk, with
+neither forward checking nor symmetry breaking.  It takes the vertices in
+index order; a vertex's domain is the AND of the orthogonality masks of its
+assigned earlier neighbors, walked in point order.  The walk stops one
+vertex short and yields the points of the others with the domain mask of
+the last: the census adds that mask's popcount, and the enumeration
+expands it in point order into one Representation per bit.
+
 find_independent_rep (the minrank search) tries the points of
 span(e_1..e_r) outside a vertex's neighbor span, then the fresh point
 e_{r+1}.  Each vertex holds the subspace id of the span of its assigned
@@ -164,13 +173,14 @@ def _search_order(g: Graph) -> list[int]:
     adjacency to already-ordered vertices (ties by degree, then index)."""
     if g.n == 0:
         return []
-    order = [max(range(g.n), key=lambda v: (g.degree(v), -v))]
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    order = [max(range(g.n), key=lambda v: (deg[v], -v))]
     placed = 1 << order[0]
-    while len(order) < g.n:
-        nxt = max(
-            (v for v in range(g.n) if not placed >> v & 1),
-            key=lambda v: ((g.adj[v] & placed).bit_count(), g.degree(v), -v),
-        )
+    unplaced = [v for v in range(g.n) if v != order[0]]
+    while unplaced:
+        nxt = max(unplaced, key=lambda v: ((adj[v] & placed).bit_count(), deg[v], -v))
+        unplaced.remove(nxt)
         order.append(nxt)
         placed |= 1 << nxt
     return order
@@ -254,27 +264,46 @@ def find_orthogonal_rep(
     return Representation(field, t, tuple(tab.point(c) for c in chosen))
 
 
-def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):
-    """Yield every orthogonal representation of g in F^t, one per scalar class
-    of each vector (no further symmetry reduction)."""
-    tab = _space(field, t)
+def _orthogonal_walk(g: Graph, tab: _SpanTable):
+    """Yield (chosen, last) for every orthogonal assignment of vertices
+    0..n-2 of g (n >= 1) in the table's space, in ascending point order
+    vertex by vertex: chosen[v] is the point of vertex v, last the mask of
+    the points vertex n-1 may take.  chosen is one list, overwritten between
+    yields."""
     n = g.n
     earlier = [_bits(g.adj[v] & ((1 << v) - 1)) for v in range(n)]
-    chosen = [0] * n
-    point = functools.lru_cache(maxsize=None)(tab.point)  # a point recurs in many yields
+    aniso, orth_mask = tab.aniso, tab.orth_mask
+    chosen = [0] * (n - 1)
+
+    def domain(v: int) -> int:
+        dom = aniso
+        for u in earlier[v]:
+            dom &= orth_mask(chosen[u])
+        return dom
 
     def rec(v: int):
-        if v == n:
-            yield Representation(field, t, tuple(point(c) for c in chosen))
+        if v == n - 1:
+            yield chosen, domain(v)
             return
-        dom = tab.aniso
-        for u in earlier[v]:
-            dom &= tab.orth_mask(chosen[u])
-        for c in _bits(dom):
+        for c in _bits(domain(v)):
             chosen[v] = c
             yield from rec(v + 1)
 
     yield from rec(0)
+
+
+def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):
+    """Yield every orthogonal representation of g in F^t, one per scalar class
+    of each vector (no further symmetry reduction)."""
+    tab = _space(field, t)
+    if g.n == 0:
+        yield Representation(field, t, ())
+        return
+    point = functools.lru_cache(maxsize=None)(tab.point)  # a point recurs in many yields
+    for chosen, last in _orthogonal_walk(g, tab):
+        head = tuple(point(c) for c in chosen)
+        for c in _bits(last):
+            yield Representation(field, t, head + (point(c),))
 
 
 # -- parameters ---------------------------------------------------------------

@@ -13,7 +13,8 @@ From a CNF formula we build:
 Witness translation runs both ways: a satisfying assignment yields a proper
 3-coloring of G', and a proper 3-coloring of G yields a satisfying
 assignment.  The H-gadget dichotomy is certified exhaustively over small
-fields by enumerating every orthogonal representation in F^3.
+fields by a census that counts every orthogonal representation in F^3 on
+the span table's point numbers, and counts those that break it.
 
 Unit clauses are padded by duplicating their literal, (x) -> (x or x); the
 construction assumes clauses of width >= 2.
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 from .coloring import check_proper
 from .fields import PrimeField
 from .graphs import MAX_VERTICES, CapExceededError, Graph
-from .ortho import enumerate_orthogonal_reps
+from .ortho import _orthogonal_walk, _space
 
 
 class CnfParseError(ValueError):
@@ -299,21 +300,29 @@ class GadgetReport:
 
 
 def certify_gadget_lemma(field: PrimeField, drop_matching_edge: bool = False) -> GadgetReport:
-    """Enumerate every orthogonal representation of the H gadget in F^3 and
-    check that the endpoint vectors are orthogonal or proportional.
+    """Count the orthogonal representations of the H gadget in F^3, one per
+    scalar class of each vector, and those whose endpoint vectors u_i, u_j
+    are neither orthogonal nor proportional.
+
+    The count runs on point numbers: every assignment of the first five
+    vertices adds the size of the last vertex's domain, and two points are
+    proportional only when equal, since each has leading coefficient 1.
+    Vectors are built only for the first counterexample.
 
     With drop_matching_edge=True the weakened gadget is checked instead; it
     admits counterexamples, demonstrating the checker's sensitivity."""
     h = gadget_graph(drop_matching_edge)
+    tab = _space(field, 3)
     enumerated = 0
     counterexamples = 0
     first = None
-    for rep in enumerate_orthogonal_reps(h, field, 3):
-        enumerated += 1
-        u_i, u_j = rep.vectors[0], rep.vectors[3]
-        if u_i == u_j or field.inner(u_i, u_j) == field.zero:  # leading 1s: proportional = equal
+    for chosen, last in _orthogonal_walk(h, tab):
+        count = last.bit_count()
+        enumerated += count
+        c_i, c_j = chosen[0], chosen[3]
+        if c_i == c_j or tab.orth_mask(c_i) >> c_j & 1:
             continue
-        counterexamples += 1
-        if first is None:
-            first = rep.vectors
+        counterexamples += count
+        if first is None and count:
+            first = tuple(map(tab.point, chosen + [(last & -last).bit_length() - 1]))
     return GadgetReport(field.name, enumerated, counterexamples, first)

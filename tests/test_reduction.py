@@ -8,7 +8,7 @@ import pytest
 from orthograph.coloring import chromatic_number, coloring_locality, k_colorable
 from orthograph.fields import GF2, GF3, PrimeField
 from orthograph.graphs import MAX_VERTICES, CapExceededError, induced_subgraph
-from orthograph.ortho import coloring_to_rep, rep_locality
+from orthograph.ortho import coloring_to_rep, enumerate_orthogonal_reps, rep_locality
 from orthograph.reduction import (
     Cnf,
     assignment_to_coloring,
@@ -195,6 +195,8 @@ def test_certify_gadget_lemma_negative_control():
         (5, False, 240, 0, None),
         (3, True, 120, 24, ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 0, 2))),
         (5, True, 1080, 360, ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 0, 4))),
+        (7, False, 672, 0, None),
+        (7, True, 4368, 1680, ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 0, 6))),
     ],
 )
 def test_gadget_census_is_pinned(p, drop, enumerated, counterexamples, first):
@@ -205,6 +207,30 @@ def test_gadget_census_is_pinned(p, drop, enumerated, counterexamples, first):
         counterexamples,
         first,
     )
+
+
+def _materialised_census(field, drop):
+    # the census as a walk over Representations, compared with field.inner
+    enumerated = counterexamples = 0
+    first = None
+    for rep in enumerate_orthogonal_reps(gadget_graph(drop), field, 3):
+        enumerated += 1
+        u_i, u_j = rep.vectors[0], rep.vectors[3]
+        if u_i == u_j or field.inner(u_i, u_j) == field.zero:
+            continue
+        counterexamples += 1
+        if first is None:
+            first = rep.vectors
+    return enumerated, counterexamples, first
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("drop", [False, True])
+def test_gadget_census_matches_materialised_representations(p, drop):
+    field = PrimeField(p)
+    report = certify_gadget_lemma(field, drop_matching_edge=drop)
+    got = (report.enumerated, report.counterexamples, report.first_counterexample)
+    assert got == _materialised_census(field, drop)
 
 
 def test_vertex_count_is_checked_before_building():
