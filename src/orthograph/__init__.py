@@ -34,13 +34,11 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    from_json,
     intersection_graph,
     kneser,
     line_graph,
     read_dimacs,
     schrijver,
-    to_json,
     write_dimacs,
 )
 from .coloring import (
@@ -50,7 +48,6 @@ from .coloring import (
     check_proper,
     chromatic_number,
     coloring_locality,
-    is_proper,
     local_chromatic_number,
     max_clique,
 )

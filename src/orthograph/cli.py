@@ -23,6 +23,7 @@ from . import acceptance
 from .coloring import (
     CapExceededError,
     ImproperColoringError,
+    check_proper,
     chromatic_number,
     coloring_locality,
     local_chromatic_number,
@@ -94,21 +95,20 @@ def _prime_field(name: str) -> PrimeField:
 # -- gen ----------------------------------------------------------------------
 
 
+# family -> (generator, number of integer parameters)
+GEN_FAMILIES = {
+    "kneser": (kneser, 2),
+    "schrijver": (schrijver, 2),
+    "complete": (complete_graph, 1),
+    "empty": (empty_graph, 1),
+    "cycle": (cycle_graph, 1),
+}
+
+
 def cmd_gen(args) -> int:
-    params = args.params
+    generator, arity = GEN_FAMILIES[args.family]
     try:
-        if args.family == "kneser":
-            g = kneser(*_ints(params, 2))
-        elif args.family == "schrijver":
-            g = schrijver(*_ints(params, 2))
-        elif args.family == "complete":
-            g = complete_graph(*_ints(params, 1))
-        elif args.family == "empty":
-            g = empty_graph(*_ints(params, 1))
-        elif args.family == "cycle":
-            g = cycle_graph(*_ints(params, 1))
-        else:
-            raise UsageError(f"unknown family {args.family!r}")
+        g = generator(*_ints(args.params, arity))
     except CapExceededError:
         raise
     except ValueError as exc:
@@ -206,9 +206,11 @@ def _verify_certificate(cert: dict, g: Graph) -> list[str]:
             colors = witness["coloring"]
             if not _rows([colors], (int,)):
                 return ["witness coloring is not a list of integers"]
-            measured = num_colors(colors) if param == "chi" else coloring_locality(g, colors)
             if param == "chi":
-                coloring_locality(g, colors)  # properness check
+                check_proper(g, colors)
+                measured = num_colors(colors)
+            else:
+                measured = coloring_locality(g, colors)
             if measured != value:
                 out.append(f"witness achieves {measured}, certificate claims {value}")
         elif param in ("od", "od-local", "minrank"):
@@ -375,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="generate a graph in DIMACS edge format")
-    p.add_argument("family", choices=["kneser", "schrijver", "complete", "empty", "cycle"])
+    p.add_argument("family", choices=list(GEN_FAMILIES))
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_gen)

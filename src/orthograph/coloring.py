@@ -54,14 +54,6 @@ def check_proper(g: Graph, colors: Sequence[int]) -> None:
             raise ImproperColoringError(f"adjacent vertices {u},{v} share color {colors[u]}")
 
 
-def is_proper(g: Graph, colors: Sequence[int]) -> bool:
-    try:
-        check_proper(g, colors)
-    except ImproperColoringError:
-        return False
-    return True
-
-
 def coloring_locality(g: Graph, colors: Sequence[int]) -> int:
     """Maximum number of colors on a closed neighborhood; requires properness."""
     check_proper(g, colors)
@@ -86,7 +78,7 @@ def max_clique(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> ParamResult:
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     best: list[int] = []
 
-    def color_bound(cand: int, order_in: list[int]) -> list[tuple[int, int]]:
+    def color_bound(order_in: list[int]) -> list[tuple[int, int]]:
         # greedy coloring of the candidate set; returns (vertex, color-count-so-far)
         classes: list[int] = []  # bitmask per color class
         labeled = []
@@ -104,7 +96,7 @@ def max_clique(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> ParamResult:
     def expand(clique: list[int], cand: int) -> None:
         nonlocal best
         members = [v for v in order if cand >> v & 1]
-        labeled = color_bound(cand, members)
+        labeled = color_bound(members)
         for v, bound in reversed(labeled):
             if len(clique) + bound <= len(best):
                 return

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 MAX_PRIME = 251  # one byte per residue
 # a rational read from text: a, a/b with b nonzero, or a plain decimal; no
@@ -76,12 +76,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
 
     def inner(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         if len(xs) != len(ys):
@@ -152,9 +146,6 @@ class RationalField:
         if Fraction(a) == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
-
-    def div(self, a, b) -> Fraction:
-        return self.mul(a, self.inv(b))
 
     def inner(self, xs: Sequence, ys: Sequence) -> Fraction:
         if len(xs) != len(ys):

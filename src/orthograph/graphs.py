@@ -1,6 +1,6 @@
 """Simple undirected graphs as bit rows, generators (Kneser, Schrijver,
-disjointness graphs of set systems, line graphs, classics), and DIMACS /
-JSON input-output.
+disjointness graphs of set systems, line graphs, classics), and DIMACS
+input-output.
 
 Vertices of subset-based generators are ordered lexicographically on the
 sorted subsets, so identical parameters always give byte-identical DIMACS
@@ -10,7 +10,6 @@ output.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -222,26 +221,7 @@ def line_graph(h: Graph) -> Graph:
     return Graph(len(he), edges, labels=he)
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    edges = g1.edges() + [(u + g1.n, v + g1.n) for u, v in g2.edges()]
-    labels = None
-    if g1.labels is not None and g2.labels is not None:
-        labels = list(g1.labels) + list(g2.labels)
-    return Graph(g1.n + g2.n, edges, labels=labels)
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    idx = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (idx[u], idx[v])
-        for u, v in itertools.combinations(vertices, 2)
-        if g.has_edge(u, v)
-    ]
-    labels = [g.labels[v] for v in vertices] if g.labels is not None else None
-    return Graph(len(vertices), edges, labels=labels)
-
-
-# -- DIMACS and JSON ----------------------------------------------------------
+# -- DIMACS ----------------------------------------------------------
 
 
 def read_dimacs(text: str) -> Graph:
@@ -295,18 +275,3 @@ def write_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {len(edges)}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
     return "\n".join(lines) + "\n"
-
-
-def to_json(g: Graph) -> str:
-    payload = {"n": g.n, "edges": sorted(g.edges())}
-    if g.labels is not None:
-        payload["labels"] = [list(l) if isinstance(l, (tuple, list)) else l for l in g.labels]
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> Graph:
-    payload = json.loads(text)
-    labels = payload.get("labels")
-    if labels is not None:
-        labels = [tuple(l) if isinstance(l, list) else l for l in labels]
-    return Graph(payload["n"], [tuple(e) for e in payload["edges"]], labels=labels)

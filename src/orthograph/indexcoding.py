@@ -14,6 +14,11 @@ Three routes to a representing matrix are provided:
   * randomized compression of an orthogonal representation with locality l
     down to l + ceil(log_q n) dimensions.
 
+representing_matrix takes each y_i as the last reduced echelon row of the
+non-neighbors' nullspace that is not orthogonal to u_i: the rows' pivots
+ascend, so lexicographic order on the span is lexicographic order on the
+coefficient tuples, and that row is the lexicographically smallest choice.
+
 build_code solves every receiver's lambda_i against one elimination of
 [B | I].  Each receiver's decode row (lambda_i, the pairs (j, M_ij) for j in
 N(i), and M_ii^-1) is computed once per code, as IndexCode.decode_rows;
@@ -43,6 +48,9 @@ from .linalg import (
     vandermonde,
 )
 from .ortho import Representation, independence_violations, orthogonality_violations, rep_locality
+
+
+COMPRESSION_RETRIES = 64  # seeded attempts before compress_representation gives up
 
 
 class RepresentingPatternError(ValueError):
@@ -102,9 +110,10 @@ def representing_matrix(g: Graph, rep: Representation) -> Matrix:
 
     For each vertex i, y_i is the lexicographically smallest vector that is
     orthogonal to the vectors of i's non-neighbors and not orthogonal to
-    u_i; then M[i][j] = <y_i, u_j>.  y_i is picked coordinate by coordinate
-    inside the nullspace of the non-neighbors' vectors (see
-    _smallest_combination), in time polynomial in t."""
+    u_i; then M[i][j] = <y_i, u_j>.  y_i is the last reduced echelon row of
+    the nullspace of the non-neighbors' vectors that is not orthogonal to
+    u_i, since the rows' pivots ascend (see _smallest_combination); the cost
+    is polynomial in t."""
     h = complement(g)
     bad = independence_violations(h, rep)
     if bad:
@@ -125,43 +134,15 @@ def representing_matrix(g: Graph, rep: Representation) -> Matrix:
 
 def _smallest_combination(field: PrimeField, basis: Sequence[tuple], target: tuple):
     """Lexicographically smallest vector in span(basis) with nonzero inner
-    product against target.
-
-    The vectors still on offer form an affine space a + W, starting from
-    a = 0 and W = span(basis).  Coordinate k is fixed in turn: if some e in W
-    has e[k] = 1, coordinate k is eliminated from a and from the rest of W
-    with e, which leaves y[k] = 0 on offer; y[k] = 1 (a += e) is chosen only
-    when every vector left would be orthogonal to target.  Without such an
-    e, y[k] = a[k] is forced.  O(t^2 * len(basis)) steps, against the
-    q^len(basis) vectors of span(basis)."""
-    p = field.size
-    a = [0] * len(target)
-    a_dot = 0
-    rows = [list(b) for b in basis]  # spans W; coordinates before k are zero
-    dots = [sum(x * y for x, y in zip(r, target)) % p for r in rows]
-    if not any(dots):
-        raise ValueError("no dual vector exists; representation is not independent")
-    for k in range(len(target)):
-        j = next((j for j, r in enumerate(rows) if r[k] % p), None)
-        if j is None:
-            continue
-        e, e_dot = rows.pop(j), dots.pop(j)
-        inv = pow(e[k], p - 2, p)
-        e = [x * inv % p for x in e]
-        e_dot = e_dot * inv % p
-        for i, r in enumerate(rows):
-            c = r[k] % p
-            if c:
-                rows[i] = [(x - c * y) % p for x, y in zip(r, e)]
-                dots[i] = (dots[i] - c * e_dot) % p
-        c = a[k]
-        if c:
-            a = [(x - c * y) % p for x, y in zip(a, e)]
-            a_dot = (a_dot - c * e_dot) % p
-        if not a_dot and not any(dots):
-            a = [(x + y) % p for x, y in zip(a, e)]
-            a_dot = e_dot
-    return tuple(a)
+    product against target: the last reduced echelon row of span(basis)
+    that has one.  The rows' pivots ascend, so a vector of the span carries
+    its coefficient on row i at pivot i, and lexicographic order on the span
+    is lexicographic order on the coefficient tuples; the smallest tuple
+    with a nonzero inner product is the unit tuple at the last such row."""
+    for row in reversed(EchelonBasis(field, len(target), basis).rows):
+        if field.inner(row, target):
+            return row
+    raise ValueError("no dual vector exists; representation is not independent")
 
 
 def build_code(g: Graph, m: Matrix) -> IndexCode:
@@ -296,20 +277,21 @@ def compress_attempt(g: Graph, rep: Representation, m: int, seed: int) -> Option
     return mapped if not independence_violations(g, mapped) else None
 
 
-def compress_representation(g: Graph, rep: Representation, seed: int = 0, retries: int = 64) -> CompressionResult:
+def compress_representation(g: Graph, rep: Representation, seed: int = 0) -> CompressionResult:
     """Compress an orthogonal representation of g with locality l to an
     independent representation in dimension l + ceil(log_q n); each failed
-    attempt (probability at most 1/q) reruns with the next derived seed."""
+    attempt (probability at most 1/q) reruns with the next derived seed, up
+    to COMPRESSION_RETRIES attempts."""
     bad = orthogonality_violations(g, rep)
     if bad:
         raise ValueError("invalid orthogonal representation: " + "; ".join(bad))
     ell = rep_locality(g, rep)
     m = ell + ceil_log(rep.field.size, g.n)
-    for k in range(retries):
+    for k in range(COMPRESSION_RETRIES):
         mapped = compress_attempt(g, rep, m, seed + k)
         if mapped is not None:
             return CompressionResult(k + 1, mapped)
-    raise CompressionError(f"compression failed {retries} times (probability <= q^-{retries})")
+    raise CompressionError(f"compression failed {COMPRESSION_RETRIES} times (probability <= q^-{COMPRESSION_RETRIES})")
 
 
 # -- simulation ---------------------------------------------------------------

@@ -9,15 +9,22 @@ scan order, so every result is deterministic across runs and platforms.
 
 There are two elimination kernels, one per job.  EchelonBasis is exact over
 any field, Q included: it verifies witnesses and builds codes
-(build_code, nullspace_basis, solve_row).  Its row operations are one field
-call per row (the fields' scale and sub_scaled), not one per entry.
+(build_code, nullspace_basis, solve_row, and the dual vectors of
+indexcoding.representing_matrix).  Its row operations are one field call
+per row (the fields' scale and sub_scaled), not one per entry.
 build_code solves every receiver against one [B | I] basis (solve_rows, of
-which solve_row is the one-target case).  _SpanTable numbers the
-projective points of GF(p)^t and interns subspaces as bitmasks over them;
-every search over GF(p) runs on it, the greedy Schulman family included.
-indexcoding._smallest_combination stays Gaussian elimination: a table over
-F^t grows exponentially in t, and the index codes over GF(31) would pay for
-it.
+which solve_row is the one-target case).  Its rows have ascending pivots,
+so a vector of the span carries its coefficient on row i at pivot i: the
+lexicographically smallest span vector with a nonzero inner product
+against a target is the last row that has one
+(indexcoding._smallest_combination).
+
+_SpanTable numbers the projective points of GF(p)^t and interns subspaces
+as bitmasks over them; every search over GF(p) runs on it, the greedy
+Schulman family included.  _SpanTable._insert keeps its own plain-int
+echelon step on point tuples: it runs once per subspace the search meets,
+and routing it through EchelonBasis's field calls and list copies costs the
+searches time and memory.
 """
 
 from __future__ import annotations
@@ -69,9 +76,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
 
     def mul_vec(self, x: Sequence) -> Vector:
         return tuple(self.field.inner(r, x) for r in self.rows)

@@ -17,7 +17,6 @@ from orthograph.coloring import (
     chromatic_number,
     coloring_locality,
     greedy_coloring,
-    is_proper,
     k_colorable,
     local_chromatic_number,
     local_lower_bound,
@@ -51,8 +50,8 @@ def _digest(out) -> str:
 def test_check_proper_accepts_and_rejects():
     g = cycle_graph(4)
     check_proper(g, [0, 1, 0, 1])
-    assert is_proper(g, [0, 1, 0, 1])
-    assert not is_proper(g, [0, 0, 1, 1])
+    with pytest.raises(ImproperColoringError, match="share color"):
+        check_proper(g, [0, 0, 1, 1])
     with pytest.raises(ImproperColoringError):
         check_proper(g, [0, 1, 0])
 
@@ -221,13 +220,21 @@ def test_locality_decision_long_cycles_need_no_recursion():
         assert locality_decision(cycle_graph(n), 2) is None
 
 
+def _proper(g: Graph, colors) -> bool:
+    try:
+        check_proper(g, colors)
+    except ImproperColoringError:
+        return False
+    return True
+
+
 def _brute_locality(g: Graph, ell: int, max_colors) -> bool:
     # every coloring up to renaming colors: restricted growth strings
     colorings = [[]]
     for _ in range(g.n):
         colorings = [c + [x] for c in colorings for x in range(max(c, default=-1) + 2)]
     return any(
-        is_proper(g, c) and num_colors(c) <= max_colors and coloring_locality(g, c) <= ell
+        _proper(g, c) and num_colors(c) <= max_colors and coloring_locality(g, c) <= ell
         for c in colorings
     )
 

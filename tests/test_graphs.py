@@ -1,4 +1,4 @@
-"""Graph type, generators, and DIMACS/JSON round trips."""
+"""Graph type, generators, and DIMACS round trips."""
 
 from __future__ import annotations
 
@@ -13,16 +13,12 @@ from orthograph.graphs import (
     complement,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
-    from_json,
-    induced_subgraph,
     intersection_graph,
     kneser,
     line_graph,
     read_dimacs,
     schrijver,
-    to_json,
     write_dimacs,
 )
 
@@ -133,14 +129,6 @@ def test_schrijver_as_complement_of_line_graph():
         )
 
 
-def test_disjoint_union_and_induced_subgraph():
-    g = disjoint_union(complete_graph(3), complete_graph(2))
-    assert g.n == 5 and g.num_edges == 4
-    sub = induced_subgraph(kneser(5, 2), [0, 1, 2, 9])
-    assert sub.n == 4
-    assert sub.has_edge(0, 3) == kneser(5, 2).has_edge(0, 9)
-
-
 def test_dimacs_round_trip_bit_exact():
     g = kneser(5, 2)
     text = write_dimacs(g)
@@ -163,10 +151,3 @@ def test_dimacs_errors_carry_line_numbers():
         read_dimacs("p edge 3 1\ne 2 2\n")
     with pytest.raises(DimacsParseError):
         read_dimacs("")
-
-
-def test_json_round_trip_with_labels():
-    g = kneser(4, 2)
-    back = from_json(to_json(g))
-    assert back == g
-    assert back.labels == g.labels

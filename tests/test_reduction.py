@@ -7,7 +7,7 @@ import pytest
 
 from orthograph.coloring import chromatic_number, coloring_locality, k_colorable
 from orthograph.fields import GF2, GF3, PrimeField
-from orthograph.graphs import MAX_VERTICES, CapExceededError, induced_subgraph
+from orthograph.graphs import MAX_VERTICES, CapExceededError
 from orthograph.ortho import coloring_to_rep, enumerate_orthogonal_reps, rep_locality
 from orthograph.reduction import (
     Cnf,
@@ -169,8 +169,10 @@ def test_restriction_of_g_prime_coloring_is_proper_on_g():
     cnf = Cnf(2, ((-1, 2),))
     colors = assignment_to_coloring(cnf, [False, False])
     g = build_g(cnf).graph
-    sub = induced_subgraph(build_g_prime(cnf).graph, range(g.n))
-    assert coloring_locality(sub, colors[: g.n]) <= 3
+    # G is the subgraph of G' induced on its first g.n vertices
+    full = (1 << g.n) - 1
+    assert [row & full for row in build_g_prime(cnf).graph.adj[: g.n]] == list(g.adj)
+    assert coloring_locality(g, colors[: g.n]) <= 3
 
 
 def test_certify_gadget_lemma_both_fields():
