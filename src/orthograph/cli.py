@@ -249,6 +249,13 @@ def _verify_index_code(cert: dict, g: Graph) -> list[str]:
         for key in ("representingMatrix", "encodeMatrix", "decodeCoeffs"):
             if not _rows(cert[key], (int,)):
                 return [f"{key} is not a list of integer rows"]
+        for key, want, what in (("length", len(cert["encodeMatrix"]), "rows of encodeMatrix"),
+                                ("n", g.n, "vertices in the graph")):
+            value = cert[key]
+            if type(value) is not int:  # a JSON true is not a count either
+                out.append(f"{key} is a {type(value).__name__}, not an integer")
+            elif value != want:
+                out.append(f"{key} {value} != {want} {what}")
         m = Matrix(field, tuple(tuple(r) for r in cert["representingMatrix"]))
         check_representing(g, m)
         b = Matrix(field, tuple(tuple(r) for r in cert["encodeMatrix"]))

@@ -11,6 +11,7 @@ conjugation in any field.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -80,7 +81,7 @@ class PrimeField:
     def inner(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         if len(xs) != len(ys):
             raise ValueError(f"inner product length mismatch: {len(xs)} vs {len(ys)}")
-        return sum(x * y for x, y in zip(xs, ys)) % self.p
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     # -- row operations: one call per row, one % p per entry --------------------
 

@@ -18,18 +18,31 @@ representing_matrix takes each y_i as the last reduced echelon row of the
 non-neighbors' nullspace that is not orthogonal to u_i: the rows' pivots
 ascend, so lexicographic order on the span is lexicographic order on the
 coefficient tuples, and that row is the lexicographically smallest choice.
+The same step is the only check that the representation is independent.
+The standard form is nondegenerate, so (S^perp)^perp = S for every subspace
+S: with S the span of i's non-neighbours' vectors, a y in S^perp with
+<y, u_i> != 0 exists exactly when u_i lies outside S.  So the search for y
+fails exactly at the vertices whose vector lies in the span of their
+neighbours in the complement, and representing_matrix names all of them.
+
+check_representing reads each row once: row i may be nonzero only inside
+the mask adj[i] | 1 << i, and its diagonal must be nonzero.  It runs on
+every matrix representing_matrix returns and again in build_code, which
+also takes matrices from elsewhere.
 
 build_code solves every receiver's lambda_i against one elimination of
-[B | I].  Each receiver's decode row (lambda_i, the pairs (j, M_ij) for j in
-N(i), and M_ii^-1) is computed once per code, as IndexCode.decode_rows;
-decode_one and simulate both decode from these rows through one helper, in
-plain-int arithmetic, reading the message only at the receiver's
-neighbours.
+[B | I].  Each receiver's decode row (lambda_i, the neighbours j in N(i) in
+ascending order, their entries M_ij in the same order, and M_ii^-1) is
+computed once per code, as IndexCode.decode_rows; decode_one and simulate
+both decode from these rows through one helper, in plain-int arithmetic
+with sum(map(operator.mul, ...)), reading the message only at the
+receiver's neighbours.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -65,11 +78,12 @@ def check_representing(g: Graph, m: Matrix) -> None:
     if m.nrows != g.n or m.ncols != g.n:
         raise RepresentingPatternError(f"matrix is {m.nrows}x{m.ncols}, graph has {g.n} vertices")
     zero = m.field.zero
-    for i in range(g.n):
-        if m[i, i] == zero:
+    for i, (row, nbrs) in enumerate(zip(m.rows, g.adj)):
+        if row[i] == zero:
             raise RepresentingPatternError(f"zero diagonal entry at {i}")
-        for j in range(g.n):
-            if i != j and not g.has_edge(i, j) and m[i, j] != zero:
+        allowed = nbrs | 1 << i
+        for j, x in enumerate(row):
+            if x != zero and not allowed >> j & 1:
                 raise RepresentingPatternError(f"nonzero entry at non-adjacent pair ({i},{j})")
 
 
@@ -94,14 +108,16 @@ class IndexCode:
 
     @functools.cached_property
     def decode_rows(self) -> tuple:
-        """Per receiver i: (lambda_i, ((j, M_ij) for j in N(i)), M_ii^-1)."""
-        f, m = self.field, self.matrix
+        """Per receiver i: (lambda_i, the neighbours j in N(i) in ascending
+        order, their entries M_ij in the same order, M_ii^-1)."""
+        f = self.field
         if any(len(lam) != self.length for lam in self.decode_coeffs):
             raise ValueError(f"decode coefficients must have the code length {self.length}")
-        return tuple(
-            (self.decode_coeffs[i], tuple((j, m[i, j]) for j in _bits(self.graph.adj[i])), f.inv(m[i, i]))
-            for i in range(self.n)
-        )
+        out = []
+        for i, (lam, row, nbrs) in enumerate(zip(self.decode_coeffs, self.matrix.rows, self.graph.adj)):
+            side = tuple(_bits(nbrs))
+            out.append((lam, side, tuple(row[j] for j in side), f.inv(row[i])))
+        return tuple(out)
 
 
 def representing_matrix(g: Graph, rep: Representation) -> Matrix:
@@ -113,20 +129,29 @@ def representing_matrix(g: Graph, rep: Representation) -> Matrix:
     u_i; then M[i][j] = <y_i, u_j>.  y_i is the last reduced echelon row of
     the nullspace of the non-neighbors' vectors that is not orthogonal to
     u_i, since the rows' pivots ascend (see _smallest_combination); the cost
-    is polynomial in t."""
-    h = complement(g)
-    bad = independence_violations(h, rep)
-    if bad:
-        raise ValueError("not an independent representation of the complement: " + "; ".join(bad))
+    is polynomial in t.
+
+    The dual-vector step is also the independence check: since
+    (S^perp)^perp = S, no y exists exactly when u_i lies in the span S of
+    its non-neighbors' vectors.  The ValueError names every such vertex."""
+    if len(rep.vectors) != g.n:
+        raise ValueError(f"representation covers {len(rep.vectors)} vertices, graph has {g.n}")
     f = rep.field
-    rows = []
+    full = (1 << g.n) - 1
+    rows, bad = [], []
     for i in range(g.n):
-        nbr_vecs = [rep.vectors[u] for u in _bits(h.adj[i])]
+        nbr_vecs = [rep.vectors[u] for u in _bits(full & ~g.closed(i))]  # i's neighbours in the complement
         null = nullspace_basis(Matrix(f, tuple(nbr_vecs))) if nbr_vecs else [
             tuple(f.one if k == j else f.zero for k in range(rep.t)) for j in range(rep.t)
         ]
-        y = _smallest_combination(f, null, rep.vectors[i])
-        rows.append(tuple(f.inner(y, rep.vectors[j]) for j in range(g.n)))
+        try:
+            y = _smallest_combination(f, null, rep.vectors[i])
+        except ValueError:  # u_i lies in span(S) = null(S)^perp
+            bad.append(f"vertex {i}: vector lies in the span of its neighbors")
+            continue
+        rows.append(tuple(f.inner(y, u) for u in rep.vectors))
+    if bad:
+        raise ValueError("not an independent representation of the complement: " + "; ".join(bad))
     m = Matrix(f, tuple(rows))
     check_representing(g, m)
     return m
@@ -163,7 +188,7 @@ def encode(code: IndexCode, x: Sequence) -> tuple:
     if len(x) != code.n:
         raise ValueError(f"message length {len(x)} != n={code.n}")
     p = code.field.p
-    return tuple(sum(b * xj for b, xj in zip(row, x)) % p for row in code.encode_matrix.rows)
+    return tuple(sum(map(operator.mul, row, x)) % p for row in code.encode_matrix.rows)
 
 
 def decode_one(code: IndexCode, i: int, y: Sequence, side_info: dict) -> object:
@@ -179,8 +204,9 @@ def decode_one(code: IndexCode, i: int, y: Sequence, side_info: dict) -> object:
 def _decode(p: int, row: tuple, y: Sequence, known) -> int:
     """x_i = (lambda_i . y - sum of M_ij x_j over j in N(i)) / M_ii, from a
     decode row of IndexCode.decode_rows; known is read only at N(i)."""
-    lam, side, inv = row
-    total = sum(a * b for a, b in zip(lam, y)) - sum(m * known[j] for j, m in side)  # = M_ii x_i
+    lam, side, coeffs, inv = row
+    mul = operator.mul
+    total = sum(map(mul, lam, y)) - sum(map(mul, coeffs, map(known.__getitem__, side)))  # = M_ii x_i
     return total * inv % p
 
 
@@ -203,13 +229,14 @@ def code_from_local_coloring(g: Graph, colors: Sequence[int], vectors: Sequence[
         raise ValueError(f"{len(palette)} colors but only {len(vectors)} vectors")
     index = {c: k for k, c in enumerate(palette)}
     t = len(vectors[0]) if vectors else 0  # no vectors: the graph has no vertices
+    independent = set()  # closed-neighbourhood colour sets already checked
     for v in range(h.n):
-        basis = EchelonBasis(field, t)
-        for u in _bits(h.closed(v)):
-            basis.add(vectors[index[colors[u]]])
-        wanted = {index[colors[u]] for u in _bits(h.closed(v))}
-        if basis.dim != len(wanted):
-            raise ValueError(f"closed-neighborhood vectors of vertex {v} are dependent")
+        wanted = frozenset(index[colors[u]] for u in _bits(h.closed(v)))
+        if wanted not in independent:
+            basis = EchelonBasis(field, t)
+            if any(basis.add(vectors[k]) for k in wanted):
+                raise ValueError(f"closed-neighborhood vectors of vertex {v} are dependent")
+            independent.add(wanted)
     rep = Representation(
         field, t, tuple(vectors[index[colors[v]]] for v in range(h.n)), kind="independent"
     )
@@ -307,12 +334,12 @@ class SimulationReport:
 def simulate(code: IndexCode, trials: int, seed: int = 0) -> SimulationReport:
     """Round-trip uniformly random messages through encode/decode for every
     receiver; failures must be zero for a valid code."""
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     q = code.field.size
     rows = code.decode_rows
     failures = 0
     for _ in range(trials):
-        x = [rng.randrange(q) for _ in range(code.n)]
+        x = [randrange(q) for _ in range(code.n)]
         y = encode(code, x)
         # row i lists exactly N(i), so receiver i reads x only at its side information
         failures += sum(_decode(q, row, y, x) != xi for row, xi in zip(rows, x))

@@ -11,13 +11,18 @@ There are two elimination kernels, one per job.  EchelonBasis is exact over
 any field, Q included: it verifies witnesses and builds codes
 (build_code, nullspace_basis, solve_row, and the dual vectors of
 indexcoding.representing_matrix).  Its row operations are one field call
-per row (the fields' scale and sub_scaled), not one per entry.
+per row (the fields' scale and sub_scaled), not one per entry; each call
+binds the field's zero once, finds a residual's pivot with a plain loop,
+and inserts a new row at its place by bisect on the pivots.
 build_code solves every receiver against one [B | I] basis (solve_rows, of
 which solve_row is the one-target case).  Its rows have ascending pivots,
 so a vector of the span carries its coefficient on row i at pivot i: the
 lexicographically smallest span vector with a nonzero inner product
 against a target is the last row that has one
-(indexcoding._smallest_combination).
+(indexcoding._smallest_combination).  That search is also
+representing_matrix's only independence check: the standard form is
+nondegenerate, so (S^perp)^perp = S, and a dual vector for u_i exists
+exactly when u_i lies outside the span S of its non-neighbours' vectors.
 
 _SpanTable numbers the projective points of GF(p)^t and interns subspaces
 as bitmasks over them; every search over GF(p) runs on it, the greedy
@@ -29,6 +34,7 @@ searches time and memory.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import random
@@ -64,7 +70,8 @@ class Matrix:
     rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(self.field.element(x) for x in r) for r in self.rows))
+        element = self.field.element
+        object.__setattr__(self, "rows", tuple(tuple(map(element, r)) for r in self.rows))
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise ValueError("ragged matrix rows")
@@ -110,33 +117,41 @@ class EchelonBasis:
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)} != basis width {self.ncols}")
         f = self.field
+        zero = f.zero
         v = f.scale(f.one, v)  # canonical copy
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
-            if c != f.zero:
+            if c != zero:
                 v = f.sub_scaled(v, c, row)  # row is zero before its pivot
         return tuple(v)
 
     def contains(self, v: Sequence) -> bool:
-        f = self.field
-        return all(x == f.zero for x in self.reduce(v))
+        zero = self.field.zero
+        for x in self.reduce(v):
+            if x != zero:
+                return False
+        return True
 
     def add(self, v: Sequence) -> bool:
         """Insert v if independent of the basis.  Returns True if v was
         already in the span (basis unchanged), False if it was inserted."""
         f = self.field
+        zero = f.zero
         res = self.reduce(v)
-        pivot = next((j for j, x in enumerate(res) if x != f.zero), None)
-        if pivot is None:
+        for pivot, lead in enumerate(res):
+            if lead != zero:
+                break
+        else:
             return True
-        res = tuple(f.scale(f.inv(res[pivot]), res))
+        res = tuple(f.scale(f.inv(lead), res))
         # back-eliminate the new pivot from existing rows
-        for k, row in enumerate(self.rows):
+        rows = self.rows
+        for k, row in enumerate(rows):
             c = row[pivot]
-            if c != f.zero:
-                self.rows[k] = tuple(f.sub_scaled(row, c, res))
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, res)
+            if c != zero:
+                rows[k] = tuple(f.sub_scaled(row, c, res))
+        at = bisect.bisect(self.pivots, pivot)
+        rows.insert(at, res)
         self.pivots.insert(at, pivot)
         return False
 

@@ -92,9 +92,8 @@ class Representation:
     kind: str = "orthogonal"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vectors", tuple(tuple(self.field.element(x) for x in v) for v in self.vectors)
-        )
+        element = self.field.element
+        object.__setattr__(self, "vectors", tuple(tuple(map(element, v)) for v in self.vectors))
         for v in self.vectors:
             if len(v) != self.t:
                 raise ValueError(f"vector of length {len(v)}, expected {self.t}")

@@ -207,6 +207,32 @@ def test_verify_fails_cleanly_on_malformed_index_codes(tmp_path, capsys, key, va
     assert res.err.startswith("verify: ")
 
 
+@pytest.mark.parametrize("edits, errors", [
+    ({"length": 1, "n": 99}, ["verify: length 1 != 3 rows of encodeMatrix", "verify: n 99 != 5 vertices in the graph"]),
+    ({"length": 4}, ["verify: length 4 != 3 rows of encodeMatrix"]),
+    ({"n": 4}, ["verify: n 4 != 5 vertices in the graph"]),
+    ({"length": "3"}, ["verify: length is a str, not an integer"]),
+    ({"n": True}, ["verify: n is a bool, not an integer"]),
+])
+def test_verify_checks_index_code_length_and_n(tmp_path, capsys, edits, errors):
+    g = tmp_path / "g.dimacs"
+    assert run_cli(["gen", "cycle", "5", "-o", str(g)]) == 0
+    out = tmp_path / "code.json"
+    assert run_cli(["index-code", str(g), "--field", "2", "--method", "minrank", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["length"], payload["n"]) == (3, 5)
+    payload.update(edits)
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["verify", str(out), str(g)]) == 1
+    res = capsys.readouterr()
+    assert res.out == "verification FAILED\n"
+    assert res.err.splitlines() == errors
+    del payload["length"]
+    out.write_text(json.dumps(payload))
+    assert run_cli(["verify", str(out), str(g)]) == 1
+
+
 def test_index_code_deterministic_for_fixed_seed(tmp_path):
     g = tmp_path / "g.dimacs"
     g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from orthograph.fields import GF2, PrimeField
+from orthograph.fields import GF2, GF3, PrimeField
 from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph, kneser
 from orthograph.indexcoding import (
     IndexCode,
@@ -69,6 +69,68 @@ def test_representing_matrix_rejects_invalid_rep():
     bad = Representation(GF2, 1, ((0,), (1,), (1,)), kind="independent")
     with pytest.raises(ValueError, match="independent"):
         representing_matrix(g, bad)
+
+
+def test_representing_matrix_names_every_dependent_vertex():
+    # g's complement is C5 itself; vertices 0 and 1 are adjacent there and
+    # share e1, so each vector lies in its neighbours' span, e1 and e2
+    g = complement(cycle_graph(5))
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    rep = Representation(GF5, 3, (e1, e1, e2, e3, e2), kind="independent")
+    bad = independence_violations(complement(g), rep)
+    assert bad == [
+        "vertex 0: vector lies in the span of its neighbors",
+        "vertex 1: vector lies in the span of its neighbors",
+    ]
+    with pytest.raises(ValueError) as err:
+        representing_matrix(g, rep)
+    assert str(err.value) == "not an independent representation of the complement: " + "; ".join(bad)
+    with pytest.raises(ValueError, match="representation covers 4 vertices, graph has 5"):
+        representing_matrix(g, Representation(GF5, 3, (e1, e2, e3, e2), kind="independent"))
+
+
+def _check_representing_per_entry(g, m):
+    """Reference: the pattern check entry by entry, through has_edge and
+    Matrix indexing."""
+    if m.nrows != g.n or m.ncols != g.n:
+        raise RepresentingPatternError(f"matrix is {m.nrows}x{m.ncols}, graph has {g.n} vertices")
+    zero = m.field.zero
+    for i in range(g.n):
+        if m[i, i] == zero:
+            raise RepresentingPatternError(f"zero diagonal entry at {i}")
+        for j in range(g.n):
+            if i != j and not g.has_edge(i, j) and m[i, j] != zero:
+                raise RepresentingPatternError(f"nonzero entry at non-adjacent pair ({i},{j})")
+
+
+def _pattern_message(check, g, m):
+    try:
+        check(g, m)
+    except RepresentingPatternError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_representing_agrees_with_per_entry_check():
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.5])
+        # entries off the pattern are rarely nonzero, so many matrices pass
+        ncols = n if rng.random() < 0.95 else rng.randint(0, 7)
+        rows = tuple(
+            tuple(
+                rng.randrange(3) if i == j or (j < n and g.has_edge(i, j)) or rng.random() < 0.05 else 0
+                for j in range(ncols)
+            )
+            for i in range(n)
+        )
+        m = Matrix(GF3, rows)
+        want = _pattern_message(_check_representing_per_entry, g, m)
+        assert _pattern_message(check_representing, g, m) == want, (g.adj, rows)
+        outcomes.add(want.split(" ")[0] if want else None)
+    assert outcomes == {None, "zero", "nonzero", "matrix"}
 
 
 def test_c5_minrank_code_length_three():

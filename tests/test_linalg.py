@@ -165,6 +165,84 @@ def _independent(rows, ncols):
     return out
 
 
+class _EchelonReference:
+    """The echelon kernel as first written: a generator for the pivot, a
+    linear scan for the insertion point, and field.zero read per test."""
+
+    def __init__(self, field, ncols):
+        self.field, self.ncols, self.rows, self.pivots = field, ncols, [], []
+
+    def reduce(self, v):
+        f = self.field
+        v = f.scale(f.one, v)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c != f.zero:
+                v = f.sub_scaled(v, c, row)
+        return tuple(v)
+
+    def contains(self, v):
+        f = self.field
+        return all(x == f.zero for x in self.reduce(v))
+
+    def add(self, v):
+        f = self.field
+        res = self.reduce(v)
+        pivot = next((j for j, x in enumerate(res) if x != f.zero), None)
+        if pivot is None:
+            return True
+        res = tuple(f.scale(f.inv(res[pivot]), res))
+        for k, row in enumerate(self.rows):
+            c = row[pivot]
+            if c != f.zero:
+                self.rows[k] = tuple(f.sub_scaled(row, c, res))
+        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, res)
+        self.pivots.insert(at, pivot)
+        return False
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF5, PrimeField(7), QQ], ids=str)
+def test_echelon_basis_agrees_with_reference(field):
+    rng = random.Random(str(field))
+    if field is QQ:
+        entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    else:
+        entry = lambda: rng.randrange(field.size)
+    added = inserted = contained = 0
+    for _ in range(300):
+        ncols = rng.randint(0, 6)
+        basis, ref, seen = EchelonBasis(field, ncols), _EchelonReference(field, ncols), []
+
+        def vector():
+            roll = rng.random()
+            if roll < 0.15:
+                return (0,) * ncols
+            if roll < 0.4 and seen:  # a combination of earlier vectors
+                v = [0] * ncols
+                for w in rng.sample(seen, rng.randint(1, len(seen))):
+                    c = entry()
+                    v = [field.add(a, field.mul(c, b)) for a, b in zip(v, w)]
+                return tuple(v)
+            return tuple(entry() if rng.random() < 0.6 else 0 for _ in range(ncols))
+
+        for _ in range(rng.randint(0, 8)):
+            v = vector()
+            seen.append(v)
+            got = basis.add(v)
+            assert got is ref.add(v), (v, ref.rows)
+            assert (basis.rows, basis.pivots) == (ref.rows, ref.pivots)
+            added += 1
+            inserted += not got
+            probe = vector()
+            hit = basis.contains(probe)
+            assert hit is ref.contains(probe)
+            assert basis.reduce(probe) == ref.reduce(probe)
+            contained += hit
+    assert 0.2 * added < inserted < 0.8 * added
+    assert 0.2 * added < contained < 0.8 * added
+
+
 def test_solve_rows_is_solve_row_per_target():
     rng = random.Random(3)
     for p in (2, 5, 31):
