@@ -109,12 +109,16 @@ class IndexCode:
     @functools.cached_property
     def decode_rows(self) -> tuple:
         """Per receiver i: (lambda_i, the neighbours j in N(i) in ascending
-        order, their entries M_ij in the same order, M_ii^-1)."""
+        order, their entries M_ij in the same order, M_ii^-1).  A code
+        without one decode row of the code length per receiver raises
+        ValueError."""
         f = self.field
+        if len(self.decode_coeffs) != self.n:
+            raise ValueError(f"{len(self.decode_coeffs)} rows of decode coefficients, graph has {self.n} vertices")
         if any(len(lam) != self.length for lam in self.decode_coeffs):
             raise ValueError(f"decode coefficients must have the code length {self.length}")
         out = []
-        for i, (lam, row, nbrs) in enumerate(zip(self.decode_coeffs, self.matrix.rows, self.graph.adj)):
+        for i, (lam, row, nbrs) in enumerate(zip(self.decode_coeffs, self.matrix.rows, self.graph.adj, strict=True)):
             side = tuple(_bits(nbrs))
             out.append((lam, side, tuple(row[j] for j in side), f.inv(row[i])))
         return tuple(out)
@@ -229,14 +233,11 @@ def code_from_local_coloring(g: Graph, colors: Sequence[int], vectors: Sequence[
         raise ValueError(f"{len(palette)} colors but only {len(vectors)} vectors")
     index = {c: k for k, c in enumerate(palette)}
     t = len(vectors[0]) if vectors else 0  # no vectors: the graph has no vertices
-    independent = set()  # closed-neighbourhood colour sets already checked
     for v in range(h.n):
-        wanted = frozenset(index[colors[u]] for u in _bits(h.closed(v)))
-        if wanted not in independent:
-            basis = EchelonBasis(field, t)
-            if any(basis.add(vectors[k]) for k in wanted):
-                raise ValueError(f"closed-neighborhood vectors of vertex {v} are dependent")
-            independent.add(wanted)
+        wanted = {index[colors[u]] for u in _bits(h.closed(v))}
+        basis = EchelonBasis(field, t)
+        if any(basis.add(vectors[k]) for k in wanted):
+            raise ValueError(f"closed-neighborhood vectors of vertex {v} are dependent")
     rep = Representation(
         field, t, tuple(vectors[index[colors[v]]] for v in range(h.n)), kind="independent"
     )

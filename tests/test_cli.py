@@ -191,46 +191,35 @@ def test_index_code_json_and_verify(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("key, value", [("representingMatrix", None), ("decodeCoeffs", [[1, 0, 0]])])
-def test_verify_fails_cleanly_on_malformed_index_codes(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("edits, errors", [
+    pytest.param({"representingMatrix": None}, None, id="representingMatrix-None"),
+    pytest.param({"decodeCoeffs": [[1, 0, 0]]}, None, id="decodeCoeffs-value1"),
+    pytest.param({"length": 1, "n": 99}, ["length 1 != 3 rows of encodeMatrix", "n 99 != 5 vertices in the graph"],
+                 id="length-n"),
+    pytest.param({"length": 4}, ["length 4 != 3 rows of encodeMatrix"], id="length"),
+    pytest.param({"n": 4}, ["n 4 != 5 vertices in the graph"], id="n"),
+    pytest.param({"length": "3"}, ["length is a str, not an integer"], id="length-str"),
+    pytest.param({"n": True}, ["n is a bool, not an integer"], id="n-bool"),
+    pytest.param({"length": None}, ["'length'"], id="length-missing"),  # the key is deleted below
+])
+def test_verify_fails_cleanly_on_malformed_index_codes(tmp_path, capsys, edits, errors):
     g = tmp_path / "g.dimacs"
     g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
     out = tmp_path / "code.json"
     assert run_cli(["index-code", str(g), "--field", "2", "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
-    payload[key] = value
-    out.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert run_cli(["verify", str(out), str(g)]) == 1
-    res = capsys.readouterr()
-    assert "verification FAILED" in res.out
-    assert res.err.startswith("verify: ")
-
-
-@pytest.mark.parametrize("edits, errors", [
-    ({"length": 1, "n": 99}, ["verify: length 1 != 3 rows of encodeMatrix", "verify: n 99 != 5 vertices in the graph"]),
-    ({"length": 4}, ["verify: length 4 != 3 rows of encodeMatrix"]),
-    ({"n": 4}, ["verify: n 4 != 5 vertices in the graph"]),
-    ({"length": "3"}, ["verify: length is a str, not an integer"]),
-    ({"n": True}, ["verify: n is a bool, not an integer"]),
-])
-def test_verify_checks_index_code_length_and_n(tmp_path, capsys, edits, errors):
-    g = tmp_path / "g.dimacs"
-    assert run_cli(["gen", "cycle", "5", "-o", str(g)]) == 0
-    out = tmp_path / "code.json"
-    assert run_cli(["index-code", str(g), "--field", "2", "--method", "minrank", "-o", str(out)]) == 0
-    payload = json.loads(out.read_text())
     assert (payload["length"], payload["n"]) == (3, 5)
     payload.update(edits)
+    if edits == {"length": None}:
+        del payload["length"]
     out.write_text(json.dumps(payload))
     capsys.readouterr()
     assert run_cli(["verify", str(out), str(g)]) == 1
     res = capsys.readouterr()
     assert res.out == "verification FAILED\n"
-    assert res.err.splitlines() == errors
-    del payload["length"]
-    out.write_text(json.dumps(payload))
-    assert run_cli(["verify", str(out), str(g)]) == 1
+    assert res.err.startswith("verify: ")
+    if errors is not None:
+        assert res.err.splitlines() == [f"verify: {e}" for e in errors]
 
 
 def test_index_code_deterministic_for_fixed_seed(tmp_path):

@@ -246,6 +246,9 @@ def test_simulate_zero_trials_and_corruption():
         tuple(tuple(1 - x for x in lam) for lam in code.decode_coeffs),
     )
     assert simulate(corrupted, 20, seed=0).failures > 0
+    short = IndexCode(code.field, code.graph, code.matrix, code.encode_matrix, code.decode_coeffs[:-1])
+    with pytest.raises(ValueError, match="^4 rows of decode coefficients, graph has 5 vertices$"):
+        simulate(short, 1)
 
 
 def test_methods_agree_on_validity_and_minrank_is_best():
