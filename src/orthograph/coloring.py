@@ -9,11 +9,13 @@ colors on a closed neighborhood.  No published algorithm exists for the
 exact local chromatic number; the decision procedure here backtracks over
 proper colorings with at most n colors, introduces a new color only as the
 smallest unused index, and prunes whenever some uncolored vertex has no
-color left.  It keeps, per color, a mask of the vertices where that color
-is forbidden, so a node counts every vertex's options with a few big-int
-operations per color rather than a loop over the vertices.  Both
-backtracking searches update their state at each assignment and undo it
-on backtrack, so no search node walks the graph vertex by vertex.
+color left.  Both backtracking searches, this one and the DSATUR search
+behind k_colorable, keep per color a mask of the vertices where that color
+is forbidden.  They count per vertex, options here and neighbor colors in
+DSATUR, as bit planes: one big int per bit of the count.  So a node costs a
+few big-int operations per color or plane rather than a loop over the
+vertices.  Each search frame keeps the masks as they were before its
+vertex was colored, and backtracking restores them.
 """
 
 from __future__ import annotations
@@ -125,71 +127,93 @@ def greedy_coloring(g: Graph) -> list[int]:
 def k_colorable(g: Graph, k: int) -> Optional[list[int]]:
     """Backtracking k-colorability decision with DSATUR branching and
     smallest-unused-index symmetry breaking; returns a coloring or None.
-    Each branching pick costs O(k), from the saturation buckets of _dsatur."""
+    Each branching pick filters the uncolored vertices through the
+    saturation bit planes and the degree tiers of _dsatur, a few big-int
+    operations per node."""
     return _dsatur(g, k)
 
 
 def _dsatur(g: Graph, k: int) -> Optional[list[int]]:
     """The search behind k_colorable, on an explicit stack (no recursion
-    limit).  Its branching vertex, with the most neighbor colors, then the
-    highest degree, then the lowest index, is the lowest bit of the highest
-    non-empty bucket[s]: the uncolored vertices with s neighbor colors, as
-    bits over ranks by (-degree, index)."""
+    limit).  near[c] is the set of vertices adjacent to a vertex colored c,
+    so a vertex's saturation (its number of neighbor colors) is the number
+    of masks near[c] that hold it.  The saturations of the uncolored
+    vertices are kept as bit planes: coloring v with c ripple-adds the
+    uncolored neighbors of v outside near[c] into them.  The branching
+    vertex, with the most neighbor colors, then the highest degree, then
+    the lowest index, is found by filtering the uncolored vertices through
+    the planes from the top down, then through the degree tiers (one mask
+    per distinct degree, highest first), and taking the lowest bit.  Once
+    all k colors are used, a branch is dead when some uncolored vertex lies
+    in every near[c].  Each frame keeps `used`, near[c] and the planes as
+    they were before its vertex was colored, so undoing a color restores
+    them."""
     n = g.n
     if n == 0:
         return []
     if k <= 0:
         return None
+    adj = g.adj
+    by_degree: dict[int, int] = {}
+    for v, d in enumerate(map(int.bit_count, adj)):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)]
     colors = [-1] * n
-    sat = [0] * n
-    nbrs = [_bits(a) for a in g.adj]
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    rank_bit = {v: 1 << r for r, v in enumerate(order)}
-    bucket = [(1 << n) - 1] + [0] * min(k, g.degree(order[0]))
+    uncolored = (1 << n) - 1
+    near = [0] * min(k, n)  # a coloring needs at most n colors
+    planes: list[int] = []  # bit i of each uncolored vertex's saturation
     used = 0
-    # one frame per colored vertex: [vertex, color limit, color tried,
-    # `used` before it, neighbors whose saturation it set (None: no color on)]
-    stack = [[order[0], 1, 0, 0, None]]
+    # one frame per colored vertex: [vertex, color limit, color tried (-1:
+    # none yet), and `used`, near[color tried] and planes before it]
+    stack = [[(tiers[0] & -tiers[0]).bit_length() - 1, 1, -1, 0, 0, planes]]
     while stack:
         frame = stack[-1]
-        v, limit, c, prev_used, touched = frame
-        if touched is not None:  # undo the color tried last, then try the next
-            for u in touched:
-                s = sat[u].bit_count()
-                bucket[s] ^= rank_bit[u]
-                bucket[s - 1] |= rank_bit[u]
-                sat[u] ^= 1 << c
-            used = prev_used
-            colors[v] = -1
-            bucket[sat[v].bit_count()] |= rank_bit[v]
-            c += 1
-        while c < limit and sat[v] >> c & 1:
+        v, limit, c, prev_used, prev_near, prev_planes = frame
+        bit = 1 << v
+        if c >= 0:  # undo the color tried last, then try the next
+            used, near[c], planes = prev_used, prev_near, prev_planes
+            uncolored |= bit
+        c += 1
+        while c < limit and near[c] & bit:
             c += 1
         if c >= limit:
             stack.pop()
             continue
         colors[v] = c
-        bucket[sat[v].bit_count()] ^= rank_bit[v]
-        frame[2:] = c, used, []
-        used = max(used, c + 1)
-        touched = frame[4]
-        dead = False
-        for u in nbrs[v]:
-            if colors[u] < 0 and not (sat[u] >> c & 1):
-                s = sat[u].bit_count()
-                bucket[s] ^= rank_bit[u]
-                bucket[s + 1] |= rank_bit[u]
-                sat[u] |= 1 << c
-                touched.append(u)
-                dead = dead or s + 1 == k  # all k colors hit u
-        if dead:
-            continue
-        for b in reversed(bucket):
-            if b:
-                stack.append([order[(b & -b).bit_length() - 1], min(k, used + 1), 0, 0, None])
-                break
-        else:
+        frame[2:] = c, used, near[c], planes
+        uncolored ^= bit
+        if c == used:
+            used += 1
+        a = adj[v]
+        carry = a & uncolored & ~near[c]  # neighbors that gain color c
+        near[c] |= a
+        bumped = []
+        for plane in planes:
+            bumped.append(plane ^ carry)
+            carry &= plane
+        if carry:
+            bumped.append(carry)
+        planes = bumped
+        if used == k:
+            full = uncolored
+            for m in near:
+                full &= m
+            if full:  # all k colors hit some uncolored vertex
+                continue
+        if not uncolored:
             return colors.copy()
+        best = uncolored
+        for plane in reversed(planes):
+            top = best & plane
+            if top:
+                best = top
+        if best & (best - 1):
+            for tier in tiers:
+                top = best & tier
+                if top:
+                    best = top
+                    break
+        stack.append([(best & -best).bit_length() - 1, min(k, used + 1), -1, 0, 0, planes])
     return None
 
 

@@ -228,6 +228,12 @@ def code_from_local_coloring(g: Graph, colors: Sequence[int], vectors: Sequence[
     vectors."""
     h = complement(g)
     check_proper(h, colors)
+    return _local_code(g, h, colors, vectors, field)
+
+
+def _local_code(g: Graph, h: Graph, colors: Sequence[int], vectors: Sequence[tuple], field: PrimeField) -> IndexCode:
+    """code_from_local_coloring with h = complement(g), on colors already
+    checked proper on h."""
     palette = sorted(set(colors))
     if len(vectors) < len(palette):
         raise ValueError(f"{len(palette)} colors but only {len(vectors)} vectors")
@@ -248,18 +254,21 @@ def code_from_coloring(g: Graph, colors: Sequence[int], field: PrimeField) -> In
     """Convenience route: Vandermonde vectors when the field has at least as
     many elements as colors, otherwise the Schulman family over the
     closed-neighborhood color sets of the complement."""
-    h = complement(g)
-    check_proper(h, colors)
+    return _generic_local_code(g, complement(g), colors, field)
+
+
+def _generic_local_code(g: Graph, h: Graph, colors: Sequence[int], field: PrimeField) -> IndexCode:
+    """code_from_coloring with h = complement(g)."""
+    ell = coloring_locality(h, colors)  # raises unless colors is proper on h
     palette = sorted(set(colors))
     index = {c: k for k, c in enumerate(palette)}
     m = len(palette)
-    ell = coloring_locality(h, colors)
     if field.size >= m:
         vectors = vandermonde(m, ell, field)
     else:
         sets = [{index[colors[u]] for u in _bits(h.closed(v))} for v in range(h.n)]
         vectors = schulman_vectors(sets, m, ell, field)
-    return code_from_local_coloring(g, colors, vectors, field)
+    return _local_code(g, h, colors, vectors, field)
 
 
 def code_by_method(g: Graph, field: PrimeField, method: str, seed: int = 0) -> IndexCode:
@@ -275,8 +284,9 @@ def code_by_method(g: Graph, field: PrimeField, method: str, seed: int = 0) -> I
     if method == "minrank":
         return code_from_minrank_witness(g, minrank(g, field).witness)
     if method == "local":
-        colors = local_chromatic_number(complement(g)).witness
-        return code_from_coloring(g, list(colors), field)
+        h = complement(g)
+        colors = local_chromatic_number(h).witness
+        return _generic_local_code(g, h, list(colors), field)
     if method == "compress":
         h = complement(g)
         colors = local_chromatic_number(h).witness

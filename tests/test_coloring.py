@@ -112,13 +112,16 @@ def test_k_colorable_decision():
 
 
 def test_k_colorable_long_cycles_need_no_recursion():
-    # one search frame per colored vertex, 1,000 deep
-    c1000 = cycle_graph(1000)
-    colors = k_colorable(c1000, 3)
-    assert colors is not None
-    check_proper(c1000, colors)
-    assert colors[:4] == [0, 1, 0, 1]
+    # one search frame per colored vertex, past the default recursion limit,
+    # up to the largest even and odd cycles Graph allows
+    for n in (1000, MAX_VERTICES):
+        g = cycle_graph(n)
+        colors = k_colorable(g, 3)
+        assert colors is not None
+        check_proper(g, colors)
+        assert colors[:4] == [0, 1, 0, 1]
     assert k_colorable(cycle_graph(1001), 2) is None
+    assert k_colorable(cycle_graph(MAX_VERTICES - 1), 2) is None
     assert num_colors(k_colorable(cycle_graph(1001), 3)) == 3
 
 
@@ -176,6 +179,82 @@ def test_reduction_graph_colorings_are_pinned():
         check_proper(g, greedy)
         out.append([colors, greedy])
     assert _digest(out) == "689fa48fb0eaf2065611d5ca854259949d60cbe5b9d5490ed2778211007adaf5"
+
+
+def _bucket_dsatur(g: Graph, k: int):
+    # the search before saturation bit planes: one bucket per saturation s
+    # of the uncolored vertices with s neighbor colors, as bits over ranks
+    # by (-degree, index), updated neighbor by neighbor
+    n = g.n
+    if n == 0:
+        return []
+    if k <= 0:
+        return None
+    colors = [-1] * n
+    sat = [0] * n
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in g.adj]
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    rank_bit = {v: 1 << r for r, v in enumerate(order)}
+    bucket = [(1 << n) - 1] + [0] * min(k, g.degree(order[0]))
+    used = 0
+    stack = [[order[0], 1, 0, 0, None]]
+    while stack:
+        frame = stack[-1]
+        v, limit, c, prev_used, touched = frame
+        if touched is not None:
+            for u in touched:
+                s = sat[u].bit_count()
+                bucket[s] ^= rank_bit[u]
+                bucket[s - 1] |= rank_bit[u]
+                sat[u] ^= 1 << c
+            used = prev_used
+            colors[v] = -1
+            bucket[sat[v].bit_count()] |= rank_bit[v]
+            c += 1
+        while c < limit and sat[v] >> c & 1:
+            c += 1
+        if c >= limit:
+            stack.pop()
+            continue
+        colors[v] = c
+        bucket[sat[v].bit_count()] ^= rank_bit[v]
+        frame[2:] = c, used, []
+        used = max(used, c + 1)
+        touched = frame[4]
+        dead = False
+        for u in nbrs[v]:
+            if colors[u] < 0 and not (sat[u] >> c & 1):
+                s = sat[u].bit_count()
+                bucket[s] ^= rank_bit[u]
+                bucket[s + 1] |= rank_bit[u]
+                sat[u] |= 1 << c
+                touched.append(u)
+                dead = dead or s + 1 == k
+        if dead:
+            continue
+        for b in reversed(bucket):
+            if b:
+                stack.append([order[(b & -b).bit_length() - 1], min(k, used + 1), 0, 0, None])
+                break
+        else:
+            return colors.copy()
+    return None
+
+
+def test_dsatur_agrees_with_bucket_search():
+    rng = random.Random(15)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        density = rng.uniform(0.05, 0.9)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        graphs.append(Graph(n, edges))
+    for seed in range(4):
+        graphs.append(build_g(Cnf(5, _random_3cnf(seed, 5))).graph)
+    for g in graphs:
+        assert greedy_coloring(g) == _bucket_dsatur(g, g.n)
+        for k in sorted({1, 2, 3, 4, 5, g.n}):
+            assert k_colorable(g, k) == _bucket_dsatur(g, k)
 
 
 def test_chromatic_number_classics():
