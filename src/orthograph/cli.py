@@ -227,10 +227,16 @@ def _verify_certificate(cert: dict, g: Graph) -> list[str]:
                 if t != value:
                     out.append(f"dimension {t} != value {value}")
             elif param == "od-local":
-                bad = orthogonality_violations(g, rep)
-                out.extend(bad)
-                if not bad and rep_locality(g, rep) != value:
-                    out.append(f"witness locality {rep_locality(g, rep)} != value {value}")
+                try:
+                    measured = rep_locality(g, rep)  # checks orthogonality first
+                except ValueError:
+                    bad = orthogonality_violations(g, rep)
+                    if not bad:
+                        raise
+                    out.extend(bad)
+                else:
+                    if measured != value:
+                        out.append(f"witness locality {measured} != value {value}")
             else:
                 out.extend(independence_violations(complement(g), rep))
                 if t != value:

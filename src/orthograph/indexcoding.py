@@ -60,7 +60,7 @@ from .linalg import (
     solve_rows,
     vandermonde,
 )
-from .ortho import Representation, independence_violations, orthogonality_violations, rep_locality
+from .ortho import Representation, independence_violations, rep_locality
 
 
 COMPRESSION_RETRIES = 64  # seeded attempts before compress_representation gives up
@@ -320,10 +320,7 @@ def compress_representation(g: Graph, rep: Representation, seed: int = 0) -> Com
     independent representation in dimension l + ceil(log_q n); each failed
     attempt (probability at most 1/q) reruns with the next derived seed, up
     to COMPRESSION_RETRIES attempts."""
-    bad = orthogonality_violations(g, rep)
-    if bad:
-        raise ValueError("invalid orthogonal representation: " + "; ".join(bad))
-    ell = rep_locality(g, rep)
+    ell = rep_locality(g, rep)  # raises ValueError on an invalid representation
     m = ell + ceil_log(rep.field.size, g.n)
     for k in range(COMPRESSION_RETRIES):
         mapped = compress_attempt(g, rep, m, seed + k)

@@ -24,7 +24,10 @@ the locality bound, its span mask is ANDed into the domains of its
 unassigned vertices.  An empty domain backtracks at once (forward
 checking).  Vertices follow a static order and each domain is walked in
 point order, so forward checking only cuts subtrees without a solution and
-the first witness found does not depend on it.
+the first witness found does not depend on it.  The search is one loop over
+an explicit stack, a frame per assigned vertex holding the points it has
+still to try, lowest first, and the domains, spans and column classes
+before it; backtracking pops a frame, so no state is undone.
 
 Symmetry is broken at every node by the stabiliser of the assigned prefix
 (the stabiliser form of the lex-leader constraints of Crawford et al.,
@@ -52,7 +55,10 @@ index order; a vertex's domain is the AND of the orthogonality masks of its
 assigned earlier neighbors, walked in point order.  The walk stops one
 vertex short and yields the points of the others with the domain mask of
 the last: the census adds that mask's popcount, and the enumeration
-expands it in point order into one Representation per bit.
+expands it in point order into one Representation per bit.  It is a single
+generator frame, keeping per vertex the mask of the points still to try.
+Neither search recurses, so path and cycle graphs of thousands of vertices
+run under Python's recursion limit.
 
 find_independent_rep (the minrank search) tries the points of
 span(e_1..e_r) outside a vertex's neighbor span, then the fresh point
@@ -169,30 +175,24 @@ def _space(field: PrimeField, t: int) -> _SpanTable:
 
 def _search_order(g: Graph) -> list[int]:
     """Static vertex order: start at max degree, then greedily maximize
-    adjacency to already-ordered vertices (ties by degree, then index)."""
-    if g.n == 0:
-        return []
-    adj = g.adj
-    deg = [a.bit_count() for a in adj]
-    order = [max(range(g.n), key=lambda v: (deg[v], -v))]
-    placed = 1 << order[0]
-    unplaced = [v for v in range(g.n) if v != order[0]]
-    while unplaced:
-        nxt = max(unplaced, key=lambda v: ((adj[v] & placed).bit_count(), deg[v], -v))
-        unplaced.remove(nxt)
-        order.append(nxt)
-        placed |= 1 << nxt
+    adjacency to already-ordered vertices (ties by degree, then index).
+
+    key[v] packs (links to ordered vertices, degree, -v) into one int, -v
+    stored as n - 1 - v; an ordered vertex's key is -1, below all others."""
+    n, adj = g.n, g.adj
+    b = n.bit_length()
+    link = 1 << 2 * b
+    key = [a.bit_count() << b | n - 1 - v for v, a in enumerate(adj)]
+    order = []
+    unplaced = (1 << n) - 1
+    for _ in range(n):
+        v = key.index(max(key))  # unplaced keys are distinct
+        order.append(v)
+        key[v] = -1
+        unplaced ^= 1 << v
+        for u in _bits(adj[v] & unplaced):
+            key[u] += link
     return order
-
-
-def _narrow(dom: list, vertices, mask: int) -> bool:
-    """AND mask into the domains of vertices, in place; False once one empties."""
-    for u in vertices:
-        d = dom[u] & mask
-        if not d:
-            return False
-        dom[u] = d
-    return True
 
 
 def find_orthogonal_rep(
@@ -214,53 +214,76 @@ def find_orthogonal_rep(
     if locality is not None and locality >= t:
         locality = None  # no rank in F^t exceeds t
     order = _search_order(g)
-    closed = [g.closed(v) for v in range(n)]
-    closed_bits = [_bits(c) for c in closed]
-    # rest[i]: the vertices still unassigned once order[0..i] are
-    rest = []
+    # later[i]: the neighbors of order[i] after it in the order; events[i]:
+    # (w, the vertices of w's closed neighborhood after order[i]) for each
+    # closed neighborhood w holding order[i], w ascending, or nothing
+    # without a locality bound
+    adj = g.adj
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    later, events = [], []
     unplaced = (1 << n) - 1
     for v in order:
-        unplaced &= ~(1 << v)
-        rest.append(unplaced)
-    later_nbrs = [_bits(g.adj[v] & rest[i]) for i, v in enumerate(order)]
+        unplaced ^= 1 << v
+        later.append(_bits(adj[v] & unplaced))
+        events.append([(w, closed[w] & unplaced) for w in _bits(closed[v])] if locality is not None else ())
     span, rank, extend, orth_mask = tab.span, tab.rank, tab.extend, tab.orth_mask
     refine, class_mask = tab.refine, tab.class_mask
     chosen = [0] * n
-
-    def place(i: int, c: int, dom: list, spans: list) -> bool:
-        """Add point c to the spans of order[i]'s closed neighborhoods; a span
-        reaching rank `locality` confines its unassigned vertices to its points."""
-        for w in closed_bits[order[i]]:
-            if rank[spans[w]] < locality:  # a full span already holds c
-                s = spans[w] = extend(spans[w], c)
-                if rank[s] == locality and not _narrow(dom, _bits(closed[w] & rest[i]), span[s]):
-                    return False
-        return True
-
-    def rec(i: int, dom: list, spans: Optional[list], k: int) -> bool:
-        """Extend order[0..i-1], whose column classes have id k."""
-        if i == n:
-            return True
-        v = order[i]
-        for c in _bits(dom[v] & class_mask(k)):
-            nd = dom[:]
-            if not _narrow(nd, later_nbrs[i], orth_mask(c)):
-                continue
-            ns = spans
-            if spans is not None:
-                ns = spans[:]
-                if not place(i, c, nd, ns):
-                    continue
-            chosen[v] = c
-            if rec(i + 1, nd, ns, refine(k, c)):
-                return True
-        return False
-
-    # spans[w]: subspace id of the span of w's closed neighborhood so far
+    # the frame of order[i]: cand, the candidates it has still to try, lowest
+    # bit first; dom, a domain mask per vertex; spans (None without a
+    # locality bound), the subspace id of the span of each closed
+    # neighborhood so far; k, the id of the column classes of order[0..i-1].
+    # stack holds the frames of order[0..i-1].
+    i, k = 0, 0
+    dom = [tab.aniso] * n
     spans = [0] * n if locality is not None else None
-    if not rec(0, [tab.aniso] * n, spans, 0):
-        return None
-    return Representation(field, t, tuple(tab.point(c) for c in chosen))
+    cand = dom[order[0]] & class_mask(0)
+    stack = []
+    while True:
+        if not cand:
+            if not stack:
+                return None
+            i -= 1
+            cand, dom, spans, k = stack.pop()
+            continue
+        low = cand & -cand
+        cand ^= low
+        c = low.bit_length() - 1
+        m = orth_mask(c)
+        nd = dom[:]
+        for u in later[i]:  # forward checking
+            d = nd[u] & m
+            if not d:
+                break
+            nd[u] = d
+        else:
+            ns = spans[:] if spans is not None else None
+            for w, ahead in events[i]:
+                # add c to w's span; a span reaching rank `locality` confines
+                # its unassigned vertices to its points
+                s = ns[w]
+                if rank[s] < locality:  # a full span already holds c
+                    s = ns[w] = extend(s, c)
+                    if rank[s] == locality:
+                        full = span[s]
+                        while ahead:
+                            bit = ahead & -ahead
+                            u = bit.bit_length() - 1
+                            d = nd[u] & full
+                            if not d:
+                                break
+                            nd[u] = d
+                            ahead ^= bit
+                        if ahead:  # a domain emptied
+                            break
+            else:
+                chosen[order[i]] = c
+                i += 1
+                if i == n:
+                    return Representation(field, t, tuple(tab.point(j) for j in chosen))
+                stack.append((cand, dom, spans, k))
+                dom, spans, k = nd, ns, refine(k, c)
+                cand = dom[order[i]] & class_mask(k)
 
 
 def _orthogonal_walk(g: Graph, tab: _SpanTable):
@@ -268,27 +291,39 @@ def _orthogonal_walk(g: Graph, tab: _SpanTable):
     0..n-2 of g (n >= 1) in the table's space, in ascending point order
     vertex by vertex: chosen[v] is the point of vertex v, last the mask of
     the points vertex n-1 may take.  chosen is one list, overwritten between
-    yields."""
+    yields.
+
+    One loop walks the tree: left[v] is the mask of the points vertex v has
+    still to try, and a vertex's domain, the AND of the orthogonality masks
+    of its assigned earlier neighbors, is built once on reaching it."""
     n = g.n
     earlier = [_bits(g.adj[v] & ((1 << v) - 1)) for v in range(n)]
     aniso, orth_mask = tab.aniso, tab.orth_mask
-    chosen = [0] * (n - 1)
-
-    def domain(v: int) -> int:
+    top = n - 1
+    chosen = [0] * top
+    if not top:
+        yield chosen, aniso
+        return
+    left = [0] * top
+    left[0] = aniso
+    v = 0
+    while v >= 0:
+        m = left[v]
+        if not m:
+            v -= 1
+            continue
+        low = m & -m
+        left[v] = m ^ low
+        chosen[v] = low.bit_length() - 1
+        v += 1
         dom = aniso
         for u in earlier[v]:
             dom &= orth_mask(chosen[u])
-        return dom
-
-    def rec(v: int):
-        if v == n - 1:
-            yield chosen, domain(v)
-            return
-        for c in _bits(domain(v)):
-            chosen[v] = c
-            yield from rec(v + 1)
-
-    yield from rec(0)
+        if v == top:
+            yield chosen, dom
+            v -= 1
+        else:
+            left[v] = dom
 
 
 def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):

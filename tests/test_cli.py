@@ -93,6 +93,29 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("change, stderr", [
+    (lambda cert: cert.update(value=2), "verify: witness locality 3 != value 2\n"),
+    # vertex 0 takes vertex 1's vector: edge (0,1) alone is broken
+    (
+        lambda cert: cert["witness"].update(vectors=[[0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+        "verify: edge (0,1): vectors not orthogonal\n",
+    ),
+])
+def test_verify_od_local_reports_each_fault_once(tmp_path, capsys, change, stderr):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(["solve", "od-local", str(g), "--field", "2", "-o", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    change(cert)
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run_cli(["verify", str(cert_path), str(g)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    assert captured.out == "verification FAILED\n"
+
+
 @pytest.mark.parametrize("param, field, corrupt", [
     ("chi", [], lambda cert: cert["witness"].update(coloring=None)),
     ("chi-local", [], lambda cert: cert.update(witness=cert["witness"]["coloring"])),

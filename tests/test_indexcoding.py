@@ -206,6 +206,9 @@ def test_compress_representation_dimension_and_validity():
     assert out.rep.t == 3 + 3
     assert out.attempts >= 1
     assert independence_violations(c5, out.rep) == []
+    broken = Representation(GF2, 3, ((0, 1, 0),) + rep.vectors[1:])  # edge (0,1) not orthogonal
+    with pytest.raises(ValueError, match=r"^invalid orthogonal representation: edge \(0,1\): vectors not orthogonal$"):
+        compress_representation(c5, broken, seed=0)
 
 
 def test_compress_attempt_can_fail_and_retry():

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from networkx.generators.atlas import graph_atlas_g
@@ -14,6 +15,7 @@ from orthograph.coloring import CapExceededError
 from orthograph.fields import GF2, GF3, QQ, PrimeField
 from orthograph.graphs import (
     Graph,
+    _bits,
     complement,
     complete_graph,
     cycle_graph,
@@ -23,6 +25,8 @@ from orthograph.graphs import (
 from orthograph.linalg import _span_table
 from orthograph.ortho import (
     Representation,
+    _orthogonal_walk,
+    _search_order,
     coloring_to_rep,
     enumerate_orthogonal_reps,
     find_independent_rep,
@@ -256,6 +260,180 @@ def test_class_masks_keep_every_decision():
             finally:
                 del tab.class_mask
             assert got == want, (p, t)
+
+
+def test_orthogonal_searches_need_no_recursion():
+    # one search frame per assigned vertex, past the default recursion limit
+    assert has_local_rep(cycle_graph(2000), GF2, 2, dim_cap=2)
+    assert not has_local_rep(cycle_graph(1999), GF2, 2, dim_cap=3)
+    path = Graph(1500, [(v, v + 1) for v in range(1499)])
+    reps = list(enumerate_orthogonal_reps(path, GF2, 2))
+    assert len(reps) == 2
+    assert all(orthogonality_violations(path, rep) == [] for rep in reps)
+    assert find_orthogonal_rep(path, GF2, 2) in reps
+
+
+def _recursive_search_order(g: Graph) -> list[int]:
+    # the order before packed keys: a tuple key per unplaced vertex per step
+    if g.n == 0:
+        return []
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    order = [max(range(g.n), key=lambda v: (deg[v], -v))]
+    placed = 1 << order[0]
+    unplaced = [v for v in range(g.n) if v != order[0]]
+    while unplaced:
+        nxt = max(unplaced, key=lambda v: ((adj[v] & placed).bit_count(), deg[v], -v))
+        unplaced.remove(nxt)
+        order.append(nxt)
+        placed |= 1 << nxt
+    return order
+
+
+def _recursive_find_orthogonal_rep(g: Graph, p: int, t: int, locality=None):
+    # the search before the explicit stack: one recursive call per vertex,
+    # domains and spans copied per candidate, rank events narrowed by a helper
+    tab = _span_table(p, t)
+    n = g.n
+    if n == 0:
+        return ()
+    if locality is not None and locality < 1:
+        return None
+    if locality is not None and locality >= t:
+        locality = None
+    order = _recursive_search_order(g)
+    closed = [g.closed(v) for v in range(n)]
+    rest = []
+    unplaced = (1 << n) - 1
+    for v in order:
+        unplaced &= ~(1 << v)
+        rest.append(unplaced)
+    later_nbrs = [_bits(g.adj[v] & rest[i]) for i, v in enumerate(order)]
+    span, rank, extend, orth_mask = tab.span, tab.rank, tab.extend, tab.orth_mask
+    refine, class_mask = tab.refine, tab.class_mask
+    chosen = [0] * n
+
+    def narrow(dom, vertices, mask):
+        for u in vertices:
+            d = dom[u] & mask
+            if not d:
+                return False
+            dom[u] = d
+        return True
+
+    def place(i, c, dom, spans):
+        for w in _bits(closed[order[i]]):
+            if rank[spans[w]] < locality:
+                s = spans[w] = extend(spans[w], c)
+                if rank[s] == locality and not narrow(dom, _bits(closed[w] & rest[i]), span[s]):
+                    return False
+        return True
+
+    def rec(i, dom, spans, k):
+        if i == n:
+            return True
+        v = order[i]
+        for c in _bits(dom[v] & class_mask(k)):
+            nd = dom[:]
+            if not narrow(nd, later_nbrs[i], orth_mask(c)):
+                continue
+            ns = spans
+            if spans is not None:
+                ns = spans[:]
+                if not place(i, c, nd, ns):
+                    continue
+            chosen[v] = c
+            if rec(i + 1, nd, ns, refine(k, c)):
+                return True
+        return False
+
+    spans = [0] * n if locality is not None else None
+    if not rec(0, [tab.aniso] * n, spans, 0):
+        return None
+    return tuple(tab.point(c) for c in chosen)
+
+
+def _recursive_orthogonal_walk(g: Graph, tab):
+    # the walk before the single frame: one generator per vertex
+    n = g.n
+    earlier = [_bits(g.adj[v] & ((1 << v) - 1)) for v in range(n)]
+    aniso, orth_mask = tab.aniso, tab.orth_mask
+    chosen = [0] * (n - 1)
+
+    def domain(v):
+        dom = aniso
+        for u in earlier[v]:
+            dom &= orth_mask(chosen[u])
+        return dom
+
+    def rec(v):
+        if v == n - 1:
+            yield chosen, domain(v)
+            return
+        for c in _bits(domain(v)):
+            chosen[v] = c
+            yield from rec(v + 1)
+
+    yield from rec(0)
+
+
+def _random_graph(rng: random.Random, n: int) -> Graph:
+    density = rng.uniform(0.05, 0.95)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+def _traced(tab, search):
+    """search() with the points it passes to tab.orth_mask, in call order."""
+    points = []
+    orth_mask = tab.orth_mask
+
+    def recording(j):
+        points.append(j)
+        return orth_mask(j)
+
+    tab.orth_mask = recording  # the table is cached, so the wrapper must go again
+    try:
+        return search(), points
+    finally:
+        del tab.orth_mask
+
+
+def test_find_orthogonal_rep_explores_the_recursive_tree():
+    # the same candidates tried in the same order, and the same witness, as
+    # the recursive search, on the atlas graphs with at most 6 vertices and
+    # on seeded random graphs with at most 9
+    atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in graph_atlas_g() if h.number_of_nodes() <= 6]
+    rng = random.Random(16)
+    cases = [(g, p, t) for p, max_t in ((2, 5), (3, 4), (5, 3)) for g in atlas for t in range(1, max_t + 1)]
+    for p, t in ((2, 3), (2, 4), (3, 3), (3, 4), (5, 3)):
+        cases += [(_random_graph(rng, rng.randint(7, 9)), p, t) for _ in range(40)]
+    for g, p, t in cases:
+        tab = _span_table(p, t)
+        for ell in (None, 1, 2, 3):
+            rep, got = _traced(tab, lambda: find_orthogonal_rep(g, PrimeField(p), t, locality=ell))
+            want_rep, want = _traced(tab, lambda: _recursive_find_orthogonal_rep(g, p, t, ell))
+            assert got == want, (g.edges(), p, t, ell)
+            assert (None if rep is None else rep.vectors) == want_rep, (g.edges(), p, t, ell)
+
+
+def test_orthogonal_walk_matches_recursive_walk():
+    atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in graph_atlas_g() if 1 <= h.number_of_nodes() <= 5]
+    rng = random.Random(16)
+    graphs = atlas + [_random_graph(rng, rng.randint(6, 7)) for _ in range(20)]
+    for p, t in ((2, 3), (3, 3), (5, 2)):
+        tab = _span_table(p, t)
+        for g in graphs:
+            got = [(tuple(chosen), last) for chosen, last in _orthogonal_walk(g, tab)]
+            want = [(tuple(chosen), last) for chosen, last in _recursive_orthogonal_walk(g, tab)]
+            assert got == want, (g.edges(), p, t)
+
+
+def test_search_order_matches_recursive_order():
+    graphs = [Graph(h.number_of_nodes(), list(h.edges())) for h in graph_atlas_g()]
+    rng = random.Random(16)
+    graphs += [_random_graph(rng, rng.randint(0, 40)) for _ in range(3000)]
+    for g in graphs:
+        assert _search_order(g) == _recursive_search_order(g), g.edges()
 
 
 def test_find_independent_rep_dimension_threshold():
