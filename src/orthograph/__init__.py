@@ -82,9 +82,6 @@ from .indexcoding import (
     IndexCode,
     build_code,
     code_by_method,
-    code_from_coloring,
-    code_from_local_coloring,
-    code_from_minrank_witness,
     compress_representation,
     decode_one,
     encode,

@@ -45,6 +45,7 @@ from .graphs import (
 from .indexcoding import CompressionError, IndexCode, check_representing, code_by_method, simulate
 from .linalg import FieldTooSmallError, Matrix
 from .ortho import (
+    DEFAULT_OD_DIM_CAP,
     Representation,
     independence_violations,
     local_orthogonality_dimension,
@@ -135,7 +136,7 @@ def _solve_certificate(param: str, g: Graph, field: Optional[PrimeField], dim_ca
     elif param == "chi-local":
         res = local_chromatic_number(g)
     elif param == "od":
-        res = orthogonality_dimension(g, field)
+        res = orthogonality_dimension(g, field, dim_cap=DEFAULT_OD_DIM_CAP if dim_cap is None else dim_cap)
     elif param == "od-local":
         res = local_orthogonality_dimension(g, field, dim_cap=dim_cap)
     elif param == "minrank":
@@ -162,6 +163,8 @@ def _solve_certificate(param: str, g: Graph, field: Optional[PrimeField], dim_ca
 
 
 def cmd_solve(args) -> int:
+    if args.dim_cap is not None and args.param not in ("od", "od-local"):
+        raise UsageError(f"--dim-cap applies to od and od-local only, not {args.param}")
     if args.dim_cap is not None and args.dim_cap < 1:
         raise UsageError(f"--dim-cap must be at least 1, got {args.dim_cap}")
     g = _load_graph(args.graph)
@@ -227,6 +230,11 @@ def _verify_certificate(cert: dict, g: Graph) -> list[str]:
                 if t != value:
                     out.append(f"dimension {t} != value {value}")
             elif param == "od-local":
+                cap = witness["dimCap"]
+                if type(cap) is not int:  # a JSON true is not a cap either
+                    out.append(f"dimCap is a {type(cap).__name__}, not an integer")
+                elif t > cap:
+                    out.append(f"dimension {t} exceeds dimCap {cap}")
                 try:
                     measured = rep_locality(g, rep)  # checks orthogonality first
                 except ValueError:

@@ -6,29 +6,38 @@ lets receiver i recover x_i from the broadcast plus the side information
 {x_j : j adjacent to i}: each row M_i is a combination of the broadcast
 rows, and its off-diagonal support lies inside N(i).
 
-Three routes to a representing matrix are provided:
-  * an exact minrank witness (optimal length),
-  * a proper coloring of the complement combined with a generic vector
-    family (Vandermonde when the field is large enough, else the greedy
-    Schulman family, adding ceil(log_q n) dimensions),
-  * randomized compression of an orthogonal representation with locality l
-    down to l + ceil(log_q n) dimensions.
+code_by_method has three routes, and each ends in an independent
+representation of h = complement(G):
+  * 'minrank': the exact minrank witness (optimal length);
+  * 'local': a vector per color of an optimal local coloring of h, from a
+    family in which every closed neighborhood's colors get independent
+    vectors, with l the proven local chromatic number (Vandermonde when
+    the field has at least as many elements as colors, else the greedy
+    Schulman family, adding ceil(log_q n) dimensions);
+  * 'compress': randomized compression of the orthogonal representation
+    that coloring induces, down to l + ceil(log_q n) dimensions; each
+    attempt is accepted by independence_violations.
+All three share one tail: build_code(g, representing_matrix(g, rep)).
 
 representing_matrix takes each y_i as the last reduced echelon row of the
 non-neighbors' nullspace that is not orthogonal to u_i: the rows' pivots
 ascend, so lexicographic order on the span is lexicographic order on the
 coefficient tuples, and that row is the lexicographically smallest choice.
-The same step is the only check that the representation is independent.
+On the minrank and local routes the same step is the only check that the
+representation is independent; the compress route also checks each
+attempt, as the acceptance test of its random step.
 The standard form is nondegenerate, so (S^perp)^perp = S for every subspace
 S: with S the span of i's non-neighbours' vectors, a y in S^perp with
 <y, u_i> != 0 exists exactly when u_i lies outside S.  So the search for y
 fails exactly at the vertices whose vector lies in the span of their
 neighbours in the complement, and representing_matrix names all of them.
 
-check_representing reads each row once: row i may be nonzero only inside
-the mask adj[i] | 1 << i, and its diagonal must be nonzero.  It runs on
-every matrix representing_matrix returns and again in build_code, which
-also takes matrices from elsewhere.
+representing_matrix needs no pattern check of its own: y_i is orthogonal
+to the vectors of i's non-neighbors and <y_i, u_i> != 0, so M has the
+pattern by construction.  check_representing runs only in build_code,
+which also takes matrices from elsewhere, and reads each row once: row i
+may be nonzero only inside the mask adj[i] | 1 << i, and its diagonal must
+be nonzero.
 
 build_code solves every receiver's lambda_i against one elimination of
 [B | I].  Each receiver's decode row (lambda_i, the neighbours j in N(i) in
@@ -47,7 +56,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coloring import check_proper, coloring_locality
+from .coloring import ParamResult, local_chromatic_number
 from .fields import PrimeField
 from .graphs import Graph, _bits, complement
 from .linalg import (
@@ -60,7 +69,7 @@ from .linalg import (
     solve_rows,
     vandermonde,
 )
-from .ortho import Representation, independence_violations, rep_locality
+from .ortho import Representation, coloring_to_rep, independence_violations, minrank, rep_locality
 
 
 COMPRESSION_RETRIES = 64  # seeded attempts before compress_representation gives up
@@ -156,9 +165,7 @@ def representing_matrix(g: Graph, rep: Representation) -> Matrix:
         rows.append(tuple(f.inner(y, u) for u in rep.vectors))
     if bad:
         raise ValueError("not an independent representation of the complement: " + "; ".join(bad))
-    m = Matrix(f, tuple(rows))
-    check_representing(g, m)
-    return m
+    return Matrix(f, tuple(rows))
 
 
 def _smallest_combination(field: PrimeField, basis: Sequence[tuple], target: tuple):
@@ -217,49 +224,36 @@ def _decode(p: int, row: tuple, y: Sequence, known) -> int:
 # -- code constructions -------------------------------------------------------
 
 
-def code_from_minrank_witness(g: Graph, rep: Representation) -> IndexCode:
+def code_by_method(g: Graph, field: PrimeField, method: str, seed: int = 0) -> IndexCode:
+    """One-call code construction for a side-information graph.
+
+    Each route finds an independent representation of h = complement(g):
+    'minrank' the optimal one; 'local' a vector family over an optimal
+    local coloring of h; 'compress' a random compression of the
+    orthogonal representation that coloring induces.  All three end in
+    build_code(g, representing_matrix(g, rep))."""
+    if method == "minrank":
+        rep = minrank(g, field).witness
+    elif method in ("local", "compress"):
+        h = complement(g)
+        chi_local = local_chromatic_number(h)
+        if method == "local":
+            rep = _family_rep(h, chi_local, field)
+        else:
+            rep = compress_representation(h, coloring_to_rep(h, chi_local.witness, field), seed=seed).rep
+    else:
+        raise ValueError(f"unknown method {method!r}; expected minrank, local, or compress")
     return build_code(g, representing_matrix(g, rep))
 
 
-def code_from_local_coloring(g: Graph, colors: Sequence[int], vectors: Sequence[tuple], field: PrimeField) -> IndexCode:
-    """Index code from a proper coloring of the complement of g plus a vector
-    per color, provided the vectors indexed by every closed neighborhood (in
-    the complement) are linearly independent.  Code length <= dim of the
-    vectors."""
-    h = complement(g)
-    check_proper(h, colors)
-    return _local_code(g, h, colors, vectors, field)
-
-
-def _local_code(g: Graph, h: Graph, colors: Sequence[int], vectors: Sequence[tuple], field: PrimeField) -> IndexCode:
-    """code_from_local_coloring with h = complement(g), on colors already
-    checked proper on h."""
-    palette = sorted(set(colors))
-    if len(vectors) < len(palette):
-        raise ValueError(f"{len(palette)} colors but only {len(vectors)} vectors")
-    index = {c: k for k, c in enumerate(palette)}
-    t = len(vectors[0]) if vectors else 0  # no vectors: the graph has no vertices
-    for v in range(h.n):
-        wanted = {index[colors[u]] for u in _bits(h.closed(v))}
-        basis = EchelonBasis(field, t)
-        if any(basis.add(vectors[k]) for k in wanted):
-            raise ValueError(f"closed-neighborhood vectors of vertex {v} are dependent")
-    rep = Representation(
-        field, t, tuple(vectors[index[colors[v]]] for v in range(h.n)), kind="independent"
-    )
-    return code_from_minrank_witness(g, rep)
-
-
-def code_from_coloring(g: Graph, colors: Sequence[int], field: PrimeField) -> IndexCode:
-    """Convenience route: Vandermonde vectors when the field has at least as
-    many elements as colors, otherwise the Schulman family over the
-    closed-neighborhood color sets of the complement."""
-    return _generic_local_code(g, complement(g), colors, field)
-
-
-def _generic_local_code(g: Graph, h: Graph, colors: Sequence[int], field: PrimeField) -> IndexCode:
-    """code_from_coloring with h = complement(g)."""
-    ell = coloring_locality(h, colors)  # raises unless colors is proper on h
+def _family_rep(h: Graph, chi_local: ParamResult, field: PrimeField) -> Representation:
+    """Independent representation of h from its local chromatic witness,
+    with l = chi_local.value: a vector per color from a family in which the
+    colors of every closed neighborhood get independent vectors.  That is
+    the Vandermonde family when the field has at least as many elements as
+    colors, else the Schulman family over the closed neighborhoods' color
+    sets, which adds ceil(log_q n) dimensions."""
+    colors, ell = chi_local.witness, chi_local.value
     palette = sorted(set(colors))
     index = {c: k for k, c in enumerate(palette)}
     m = len(palette)
@@ -268,32 +262,8 @@ def _generic_local_code(g: Graph, h: Graph, colors: Sequence[int], field: PrimeF
     else:
         sets = [{index[colors[u]] for u in _bits(h.closed(v))} for v in range(h.n)]
         vectors = schulman_vectors(sets, m, ell, field)
-    return _local_code(g, h, colors, vectors, field)
-
-
-def code_by_method(g: Graph, field: PrimeField, method: str, seed: int = 0) -> IndexCode:
-    """One-call code construction for a side-information graph.
-
-    'minrank' solves for the optimal length; 'local' colors the complement
-    with optimal locality and applies a generic vector family; 'compress'
-    randomly compresses the coloring-induced orthogonal representation of
-    the complement."""
-    from .coloring import local_chromatic_number
-    from .ortho import coloring_to_rep, minrank
-
-    if method == "minrank":
-        return code_from_minrank_witness(g, minrank(g, field).witness)
-    if method == "local":
-        h = complement(g)
-        colors = local_chromatic_number(h).witness
-        return _generic_local_code(g, h, list(colors), field)
-    if method == "compress":
-        h = complement(g)
-        colors = local_chromatic_number(h).witness
-        rep = coloring_to_rep(h, list(colors), field)
-        compressed = compress_representation(h, rep, seed=seed)
-        return code_from_minrank_witness(g, compressed.rep)
-    raise ValueError(f"unknown method {method!r}; expected minrank, local, or compress")
+    t = len(vectors[0]) if vectors else 0  # no colors: h has no vertices
+    return Representation(field, t, tuple(vectors[index[c]] for c in colors), kind="independent")
 
 
 # -- randomized compression ---------------------------------------------------

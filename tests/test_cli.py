@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from orthograph.cli import main
-from orthograph.graphs import kneser, read_dimacs, write_dimacs
+from orthograph.graphs import complete_graph, kneser, read_dimacs, write_dimacs
 
 
 def run_cli(args):
@@ -121,6 +121,10 @@ def test_verify_od_local_reports_each_fault_once(tmp_path, capsys, change, stder
     ("chi-local", [], lambda cert: cert.update(witness=cert["witness"]["coloring"])),
     ("od", ["--field", "3"], lambda cert: cert["witness"]["vectors"].__setitem__(0, "abc")),
     ("minrank", ["--field", "3"], lambda cert: cert.update(field=3)),
+    # the C5 witness has t = 3, above a cap of 1; "x" and true are not caps
+    ("od-local", ["--field", "2"], lambda cert: cert["witness"].update(dimCap=1)),
+    ("od-local", ["--field", "2"], lambda cert: cert["witness"].update(dimCap="x")),
+    ("od-local", ["--field", "2"], lambda cert: cert["witness"].update(dimCap=True)),
 ])
 def test_verify_fails_cleanly_on_malformed_certificates(tmp_path, capsys, param, field, corrupt):
     g = tmp_path / "g.dimacs"
@@ -270,6 +274,25 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys):
     assert run_cli(["index-code", str(g), "--field", "2", "--simulate", "0"]) == 0
     assert run_cli(["solve", "od-local", str(g), "--dim-cap", "1", "--field", "3"]) == 3
     capsys.readouterr()
+
+
+def test_solve_od_honours_dim_cap(tmp_path, capsys):
+    g = tmp_path / "k7.dimacs"
+    g.write_text(write_dimacs(complete_graph(7)))
+    assert run_cli(["solve", "od", str(g)]) == 3  # the default cap is 6
+    assert "no orthogonal representation within dimension cap 6" in capsys.readouterr().err
+    assert run_cli(["solve", "od", str(g), "--dim-cap", "7"]) == 0
+    assert capsys.readouterr().out == "od = 7\n"
+    assert run_cli(["solve", "od", str(g), "--dim-cap", "5"]) == 3
+    assert "no orthogonal representation within dimension cap 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", ["chi", "chi-local", "minrank"])
+def test_dim_cap_without_a_dimension_is_a_usage_error(tmp_path, capsys, param):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    assert run_cli(["solve", param, str(g), "--dim-cap", "3"]) == 2
+    assert capsys.readouterr().err == f"error: --dim-cap applies to od and od-local only, not {param}\n"
 
 
 def test_missing_file_is_usage_error(capsys):

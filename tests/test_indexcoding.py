@@ -10,8 +10,9 @@ import random
 
 import pytest
 
+from orthograph.cli import main
 from orthograph.fields import GF2, GF3, PrimeField
-from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph, kneser
+from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph, kneser, write_dimacs
 from orthograph.indexcoding import (
     IndexCode,
     RepresentingPatternError,
@@ -19,8 +20,6 @@ from orthograph.indexcoding import (
     build_code,
     check_representing,
     code_by_method,
-    code_from_coloring,
-    code_from_local_coloring,
     compress_attempt,
     compress_representation,
     decode_one,
@@ -28,7 +27,7 @@ from orthograph.indexcoding import (
     representing_matrix,
     simulate,
 )
-from orthograph.linalg import Matrix, rank, vandermonde
+from orthograph.linalg import Matrix, rank
 from orthograph.ortho import (
     Representation,
     coloring_to_rep,
@@ -177,26 +176,25 @@ def test_encode_rejects_wrong_length():
         encode(code, (1, 0))
 
 
-def test_code_from_local_coloring_checks_hypothesis():
-    g = empty_graph(3)  # complement is a triangle: closed neighborhoods need 3 colors
-    with pytest.raises(ValueError, match="dependent"):
-        code_from_local_coloring(g, [0, 1, 2], [(1, 0), (0, 1), (1, 1)], GF2)
-
-
-def test_code_from_coloring_vandermonde_route():
-    c5 = cycle_graph(5)
-    code = code_from_coloring(c5, [0, 0, 1, 1, 2], GF5)  # proper on the complement
-    assert code.length <= 3
-    assert simulate(code, 50, seed=3).failures == 0
-
-
-def test_code_from_coloring_small_field_greedy_route():
-    # complement of C5 is C5 again; 3 color classes exceed GF(2), so the
-    # greedy family route adds ceil(log2 5) = 3 dimensions at most
-    c5 = cycle_graph(5)
-    code = code_from_coloring(c5, [0, 0, 1, 1, 2], GF2)  # proper on the complement
-    assert code.length <= 3 + 3
-    assert simulate(code, 50, seed=4).failures == 0
+@pytest.mark.parametrize("g, length", [
+    pytest.param(Graph(0), 0, id="no-vertices"),
+    pytest.param(Graph(1), 1, id="one-vertex"),
+    pytest.param(empty_graph(2), 2, id="empty-2"),
+    pytest.param(complete_graph(2), 1, id="complete-2"),
+])
+@pytest.mark.parametrize("p", [2, 31])
+@pytest.mark.parametrize("method", ["minrank", "local", "compress"])
+def test_index_codes_on_tiny_graphs(tmp_path, capsys, g, length, p, method):
+    code = code_by_method(g, PrimeField(p), method, seed=0)
+    assert code.length == length
+    assert simulate(code, 20, seed=1).failures == 0
+    graph, cert = tmp_path / "g.dimacs", tmp_path / "c.json"
+    graph.write_text(write_dimacs(g))
+    argv = ["index-code", str(graph), "--field", str(p), "--method", method, "--simulate", "20", "-o", str(cert)]
+    assert main(argv) == 0
+    assert json.loads(cert.read_text())["length"] == length
+    assert main(["verify", str(cert), str(graph)]) == 0
+    assert capsys.readouterr().out == "verification ok\n"
 
 
 def test_compress_representation_dimension_and_validity():
@@ -262,15 +260,6 @@ def test_methods_agree_on_validity_and_minrank_is_best():
         assert simulate(code, 30, seed=2).failures == 0
         lengths[method] = code.length
     assert lengths["minrank"] <= min(lengths.values())
-
-
-def test_vandermonde_vectors_feed_local_coloring():
-    c4 = cycle_graph(4)  # complement = two disjoint edges, 2-colorable locally 2
-    colors = [0, 0, 1, 1]  # proper on the complement edges (0,2) and (1,3)
-    vectors = vandermonde(2, 2, GF5)
-    code = code_from_local_coloring(c4, colors, vectors, GF5)
-    assert code.length <= 2
-    assert simulate(code, 30, seed=5).failures == 0
 
 
 def _scan_smallest_combination(p: int, basis, target):
