@@ -223,8 +223,7 @@ def _verify_certificate(cert: dict, g: Graph) -> list[str]:
             t = witness["t"]
             if not isinstance(t, int) or not _rows(witness["vectors"], scalars):
                 return ["witness needs an integer t and a list of vectors of field elements"]
-            rep_kind = "independent" if param == "minrank" else "orthogonal"
-            rep = Representation(field, t, tuple(tuple(v) for v in witness["vectors"]), kind=rep_kind)
+            rep = Representation(field, t, tuple(tuple(v) for v in witness["vectors"]))
             if param == "od":
                 out.extend(orthogonality_violations(g, rep))
                 if t != value:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 MAX_VERTICES = 4096
 
@@ -28,13 +28,12 @@ class Graph:
     """Immutable simple undirected graph.
 
     ``adj[v]`` is an int bitmask of the neighbors of v; the diagonal is zero
-    (no loops).  ``labels`` optionally carries generator metadata (e.g. the
-    k-subset behind a Kneser vertex) and is never semantically load-bearing.
+    (no loops).
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Optional[Sequence] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
         if n > MAX_VERTICES:
@@ -49,9 +48,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length != n")
-        self.labels = tuple(labels) if labels is not None else None
 
     # -- basic queries --------------------------------------------------------
 
@@ -182,7 +178,7 @@ def intersection_graph(system: SetSystem) -> Graph:
         for i, j in itertools.combinations(range(len(fam)), 2)
         if not (fam[i] & fam[j])
     ]
-    return Graph(len(fam), edges, labels=[tuple(sorted(s)) for s in fam])
+    return Graph(len(fam), edges)
 
 
 def complete_graph(n: int) -> Graph:
@@ -207,7 +203,7 @@ def complement(g: Graph) -> Graph:
         for v in _bits(full & ~g.adj[u] & ~(1 << u))
         if u < v
     ]
-    return Graph(g.n, edges, labels=g.labels)
+    return Graph(g.n, edges)
 
 
 def line_graph(h: Graph) -> Graph:
@@ -218,7 +214,7 @@ def line_graph(h: Graph) -> Graph:
         for i, j in itertools.combinations(range(len(he)), 2)
         if set(he[i]) & set(he[j])
     ]
-    return Graph(len(he), edges, labels=he)
+    return Graph(len(he), edges)
 
 
 # -- DIMACS ----------------------------------------------------------

@@ -263,7 +263,7 @@ def _family_rep(h: Graph, chi_local: ParamResult, field: PrimeField) -> Represen
         sets = [{index[colors[u]] for u in _bits(h.closed(v))} for v in range(h.n)]
         vectors = schulman_vectors(sets, m, ell, field)
     t = len(vectors[0]) if vectors else 0  # no colors: h has no vertices
-    return Representation(field, t, tuple(vectors[index[c]] for c in colors), kind="independent")
+    return Representation(field, t, tuple(vectors[index[c]] for c in colors))
 
 
 # -- randomized compression ---------------------------------------------------
@@ -279,9 +279,7 @@ def compress_attempt(g: Graph, rep: Representation, m: int, seed: int) -> Option
     """One compression trial: w_v -> A w_v for a seeded uniform A in F^(m x t);
     returns the image as an independent representation of g, or None."""
     a = random_matrix(m, rep.t, rep.field, seed)
-    mapped = Representation(
-        rep.field, m, tuple(a.mul_vec(v) for v in rep.vectors), kind="independent"
-    )
+    mapped = Representation(rep.field, m, tuple(a.mul_vec(v) for v in rep.vectors))
     return mapped if not independence_violations(g, mapped) else None
 
 

@@ -1,9 +1,9 @@
 """Orthogonal and independent representations of graphs: verification,
 locality, and exact solvers for the orthogonality dimension, its local
 variant, and minrank over prime fields.  The three solvers return a
-coloring.ParamResult whose witness is the Representation, with its field,
-t and kind; only the local variant, exact only under its dimension cap,
-sets dim_cap.
+coloring.ParamResult whose witness is the Representation, with its field
+and t; only the local variant, exact only under its dimension cap, sets
+dim_cap.
 
 An orthogonal representation assigns to each vertex a vector with nonzero
 self inner product, orthogonal across every edge.  Its locality is the
@@ -57,15 +57,12 @@ vertex short and yields the points of the others with the domain mask of
 the last: the census adds that mask's popcount, and the enumeration
 expands it in point order into one Representation per bit.  It is a single
 generator frame, keeping per vertex the mask of the points still to try.
-Neither search recurses, so path and cycle graphs of thousands of vertices
-run under Python's recursion limit.
 
-find_independent_rep (the minrank search) tries the points of
-span(e_1..e_r) outside a vertex's neighbor span, then the fresh point
-e_{r+1}.  Each vertex holds the subspace id of the span of its assigned
-neighbors' vectors, so testing that a vector avoids that span, and that it
-does not pull an assigned neighbor's vector into the neighbor's span, are
-bit tests; backtracking restores the old ids.
+find_independent_rep (the minrank search) runs on an explicit stack too.
+The exchange property folds both independence tests into one candidate
+mask per vertex, so no rejected candidate is undone.  No search recurses,
+so path and cycle graphs of thousands of vertices run under Python's
+recursion limit.
 
 Rational vectors are accepted for verification only: they certify
 statements over the reals exactly, but are never searched for.
@@ -90,12 +87,11 @@ DEFAULT_MINRANK_CAP = 12
 
 @dataclass(frozen=True)
 class Representation:
-    """Vertex-to-vector assignment over a field; kind 'orthogonal' or 'independent'."""
+    """Vertex-to-vector assignment over a field."""
 
     field: Field
     t: int
     vectors: tuple
-    kind: str = "orthogonal"
 
     def __post_init__(self):
         element = self.field.element
@@ -419,51 +415,60 @@ def find_independent_rep(g: Graph, field: PrimeField, t: int) -> Optional[Repres
     Independence constraints are invariant under any invertible linear map and
     per-vertex scaling, so vectors are enumerated in a normal form: each new
     vector is either inside the span of the previously assigned ones (support
-    in the first r coordinates, leading coefficient 1) or the fresh basis
-    vector e_{r+1}.
+    in the first r coordinates, leading coefficient 1) or, last, the fresh
+    basis vector e_{r+1}.
 
-    Each vertex carries the span of its assigned neighbors' vectors as a
-    subspace id of the (p, t) span table, so both independence tests are bit
-    tests and backtracking restores the old ids."""
+    Each vertex u carries S_u, the span of its assigned neighbors' vectors, as
+    a subspace id of the (p, t) span table.  A candidate c for v must lie
+    outside S_v and keep each assigned neighbor's vector x_u outside
+    span(S_u + c).  For x_u and c outside S_u, x_u is in span(S_u + c)
+    exactly when c is in span(S_u + x_u) (exchange), so v's candidates are
+    one mask: span(e_1..e_r) less S_v and less span(S_u + x_u) \\ S_u per
+    assigned neighbor u.  e_{r+1} is in none of these spans but numbered
+    below them, so it rides on the bit npts, above every point."""
     n = g.n
     if n == 0:
-        return Representation(field, t, (), kind="independent")
+        return Representation(field, t, ())
     if t < 1:
         return None
     tab = _space(field, t)
-    span, extend = tab.span, tab.extend
-    order = _search_order(g)
-    nbrs = [_bits(g.adj[v]) for v in range(n)]
-    nbr_span = [0] * n  # subspace id of the span of each vertex's assigned neighbors
-    chosen = [-1] * n  # point index per assigned vertex
-
-    def rec(i: int, rank: int) -> bool:
-        if i == n:
-            return True
+    span, extend, standard, unit = tab.span, tab.extend, tab.standard, tab.unit
+    fresh = 1 << tab.npts
+    order, adj = _search_order(g), g.adj
+    earlier, placed = [], 0  # earlier[i]: the neighbors of order[i] before it
+    for v in order:
+        earlier.append(_bits(adj[v] & placed))
+        placed |= 1 << v
+    chosen = [0] * n
+    # the frame of order[i]: cand, its candidates still to try, lowest bit
+    # first; spans, the id of S_u per vertex u; r, the rank before it
+    i, r, spans, stack = 0, 0, [0] * n, []
+    cand = fresh  # nothing is assigned: e_1 is the only candidate
+    while True:
+        if not cand:
+            if not stack:
+                return None
+            i -= 1
+            cand, spans, r = stack.pop()
+            continue
+        low = cand & -cand
+        cand ^= low
+        stack.append((cand, spans, r))
+        c = low.bit_length() - 1
+        if low == fresh:
+            c, r = unit(r), r + 1
         v = order[i]
-        options = _bits(span[tab.standard(rank)] & ~span[nbr_span[v]])
-        fresh = tab.unit(rank) if rank < t else None
-        if fresh is not None:
-            options.append(fresh)  # never in the span of earlier vectors
-        for c in options:
-            saved = [nbr_span[u] for u in nbrs[v]]
-            for u in nbrs[v]:
-                nbr_span[u] = extend(nbr_span[u], c)
-                # the new vector must not swallow an assigned neighbor
-                if chosen[u] >= 0 and span[nbr_span[u]] >> chosen[u] & 1:
-                    break
-            else:
-                chosen[v] = c
-                if rec(i + 1, rank + (c == fresh)):
-                    return True
-                chosen[v] = -1
-            for u, old in zip(nbrs[v], saved):
-                nbr_span[u] = old
-        return False
-
-    if not rec(0, 0):
-        return None
-    return Representation(field, t, tuple(tab.point(c) for c in chosen), kind="independent")
+        chosen[v] = c
+        i += 1
+        if i == n:
+            return Representation(field, t, tuple(tab.point(j) for j in chosen))
+        spans = spans[:]
+        for u in _bits(adj[v]):
+            spans[u] = extend(spans[u], c)
+        bad = span[spans[order[i]]]
+        for u in earlier[i]:
+            bad |= span[extend(spans[u], chosen[u])] & ~span[spans[u]]
+        cand = span[standard(r)] & ~bad | (fresh if r < t else 0)
 
 
 def minrank(g: Graph, field: PrimeField, cap: int = DEFAULT_MINRANK_CAP) -> ParamResult:
@@ -473,7 +478,7 @@ def minrank(g: Graph, field: PrimeField, cap: int = DEFAULT_MINRANK_CAP) -> Para
     if g.n > cap:
         raise CapExceededError(f"minrank cap {cap} exceeded (n={g.n})")
     if g.n == 0:
-        return ParamResult("minrank", 0, Representation(field, 0, (), kind="independent"), "exhausted-search")
+        return ParamResult("minrank", 0, Representation(field, 0, ()), "exhausted-search")
     h = complement(g)
     for t in range(1, g.n + 1):
         rep = find_independent_rep(h, field, t)

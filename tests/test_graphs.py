@@ -54,9 +54,11 @@ def test_kneser_petersen_structure():
     assert g.n == 10
     assert g.num_edges == 15
     assert all(g.degree(v) == 3 for v in range(10))
-    # vertices are labeled by their subsets in lexicographic order
-    assert g.labels[0] == (0, 1)
-    assert g.labels[-1] == (3, 4)
+    # vertices are the 2-subsets in lexicographic order: vertex 0 = {0,1} is
+    # disjoint from {2,3}, {2,4}, {3,4}, and vertex 9 = {3,4} from {0,1},
+    # {0,2}, {1,2}
+    assert g.neighbors(0) == [7, 8, 9]
+    assert g.neighbors(9) == [0, 1, 4]
 
 
 def test_kneser_perfect_matching_case():
@@ -91,8 +93,9 @@ def test_intersection_graph_and_set_system():
     fam = (frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2}))
     g = intersection_graph(SetSystem(4, fam))
     assert g.n == 3
-    assert g.labels == ((0, 1), (1, 2), (2, 3))
-    assert g.edges() == [(0, 2)]  # {0,1} disjoint from {2,3}
+    # members in lexicographic order {0,1}, {1,2}, {2,3}: only the first and
+    # last are disjoint
+    assert g.edges() == [(0, 2)]
     with pytest.raises(ValueError):
         SetSystem(4, (frozenset({0}), frozenset({0})))
     with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ def test_check_representing_pattern():
 
 def test_representing_matrix_complete_graph_rank_one():
     g = complete_graph(3)
-    rep = Representation(GF5, 1, ((1,), (1,), (1,)), kind="independent")
+    rep = Representation(GF5, 1, ((1,), (1,), (1,)))
     m = representing_matrix(g, rep)
     assert rank(m) == 1
     assert all(x != 0 for row in m.rows for x in row)
@@ -58,14 +58,14 @@ def test_representing_matrix_complete_graph_rank_one():
 
 def test_representing_matrix_edgeless_identity():
     g = empty_graph(3)
-    rep = Representation(GF2, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), kind="independent")
+    rep = Representation(GF2, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     m = representing_matrix(g, rep)
     assert m.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_representing_matrix_rejects_invalid_rep():
     g = complete_graph(3)
-    bad = Representation(GF2, 1, ((0,), (1,), (1,)), kind="independent")
+    bad = Representation(GF2, 1, ((0,), (1,), (1,)))
     with pytest.raises(ValueError, match="independent"):
         representing_matrix(g, bad)
 
@@ -75,7 +75,7 @@ def test_representing_matrix_names_every_dependent_vertex():
     # share e1, so each vector lies in its neighbours' span, e1 and e2
     g = complement(cycle_graph(5))
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    rep = Representation(GF5, 3, (e1, e1, e2, e3, e2), kind="independent")
+    rep = Representation(GF5, 3, (e1, e1, e2, e3, e2))
     bad = independence_violations(complement(g), rep)
     assert bad == [
         "vertex 0: vector lies in the span of its neighbors",
@@ -85,7 +85,7 @@ def test_representing_matrix_names_every_dependent_vertex():
         representing_matrix(g, rep)
     assert str(err.value) == "not an independent representation of the complement: " + "; ".join(bad)
     with pytest.raises(ValueError, match="representation covers 4 vertices, graph has 5"):
-        representing_matrix(g, Representation(GF5, 3, (e1, e2, e3, e2), kind="independent"))
+        representing_matrix(g, Representation(GF5, 3, (e1, e2, e3, e2)))
 
 
 def _check_representing_per_entry(g, m):

@@ -62,9 +62,9 @@ def test_rational_representation_verifies():
 
 def test_independence_violations():
     g = Graph(3, [(0, 1), (1, 2)])
-    good = Representation(GF2, 2, ((1, 0), (0, 1), (1, 0)), kind="independent")
+    good = Representation(GF2, 2, ((1, 0), (0, 1), (1, 0)))
     assert independence_violations(g, good) == []
-    bad = Representation(GF2, 2, ((1, 0), (1, 0), (0, 1)), kind="independent")
+    bad = Representation(GF2, 2, ((1, 0), (1, 0), (0, 1)))
     assert len(independence_violations(g, bad)) == 2
 
 
@@ -271,6 +271,8 @@ def test_orthogonal_searches_need_no_recursion():
     assert len(reps) == 2
     assert all(orthogonality_violations(path, rep) == [] for rep in reps)
     assert find_orthogonal_rep(path, GF2, 2) in reps
+    rep = find_independent_rep(path, GF2, 2)
+    assert rep is not None and independence_violations(path, rep) == []
 
 
 def _recursive_search_order(g: Graph) -> list[int]:
@@ -451,6 +453,66 @@ def test_find_independent_rep_edgeless_needs_one_dimension():
     assert independence_violations(empty_graph(5), rep) == []
 
 
+def _recursive_find_independent_rep(g: Graph, p: int, t: int):
+    # the search before the candidate mask: one recursive call per vertex,
+    # each candidate extends every neighbor's span, is checked against the
+    # assigned neighbors, and is undone
+    n = g.n
+    if n == 0:
+        return ()
+    if t < 1:
+        return None
+    tab = _span_table(p, t)
+    span, extend = tab.span, tab.extend
+    order = _recursive_search_order(g)
+    nbrs = [_bits(g.adj[v]) for v in range(n)]
+    nbr_span = [0] * n
+    chosen = [-1] * n
+
+    def rec(i: int, rank: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        options = _bits(span[tab.standard(rank)] & ~span[nbr_span[v]])
+        fresh = tab.unit(rank) if rank < t else None
+        if fresh is not None:
+            options.append(fresh)
+        for c in options:
+            saved = [nbr_span[u] for u in nbrs[v]]
+            for u in nbrs[v]:
+                nbr_span[u] = extend(nbr_span[u], c)
+                if chosen[u] >= 0 and span[nbr_span[u]] >> chosen[u] & 1:
+                    break
+            else:
+                chosen[v] = c
+                if rec(i + 1, rank + (c == fresh)):
+                    return True
+                chosen[v] = -1
+            for u, old in zip(nbrs[v], saved):
+                nbr_span[u] = old
+        return False
+
+    if not rec(0, 0):
+        return None
+    return tuple(tab.point(c) for c in chosen)
+
+
+def test_find_independent_rep_matches_recursive_search():
+    # the same witness, or the same refutation, as the recursive search on
+    # every atlas graph with at most 6 vertices over GF(2), GF(3) and GF(5)
+    # for t = 0..n, and on seeded random graphs with 7 to 9 vertices
+    atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in graph_atlas_g() if h.number_of_nodes() <= 6]
+    cases = [(g, p, t) for p in (2, 3, 5) for g in atlas for t in range(g.n + 1)]
+    rng = random.Random(18)
+    for g in [_random_graph(rng, rng.randint(7, 9)) for _ in range(200)]:
+        cases += [(g, p, t) for p in (2, 3) for t in range(1, 5)]
+    assert len(cases) == 5728
+    for g, p, t in cases:
+        rep = find_independent_rep(g, PrimeField(p), t)
+        want = _recursive_find_independent_rep(g, p, t)
+        assert (None if rep is None else rep.vectors) == want, (g.edges(), p, t)
+
+
 def _gf_rank(vectors, p: int) -> int:
     """Rank over GF(p) by plain elimination, independent of orthograph."""
     rows = [list(v) for v in vectors]
@@ -500,7 +562,7 @@ def test_find_independent_rep_agrees_with_brute_force(p):
             rep = find_independent_rep(g, field, t)
             assert (rep is not None) == _brute_force_independent_rep_exists(g, p, t), (g.edges(), p, t)
             if rep is not None:
-                assert rep.t == t and rep.kind == "independent"
+                assert rep.t == t
                 assert independence_violations(g, rep) == []
 
 
@@ -546,7 +608,7 @@ def test_minrank_petersen_witness_is_pinned(p):
     assert res.value == 5
     e = [tuple(int(i == j) for j in range(5)) for i in range(5)]
     assert res.witness.vectors == (e[0], e[1], e[2], e[3], e[3], e[1], e[4], e[4], e[2], e[0])
-    assert res.witness.t == 5 and res.witness.kind == "independent"
+    assert res.witness.t == 5
     assert independence_violations(complement(kneser(5, 2)), res.witness) == []
 
 
@@ -559,7 +621,7 @@ def test_minrank_baselines():
 def test_minrank_c5_with_witness():
     res = minrank(cycle_graph(5), GF2)
     assert res.value == 3
-    assert res.witness.t == 3 and res.witness.kind == "independent"
+    assert res.witness.t == 3
     assert independence_violations(complement(cycle_graph(5)), res.witness) == []
 
 
