@@ -19,7 +19,6 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from . import acceptance
 from .coloring import (
     CapExceededError,
     ImproperColoringError,
@@ -43,7 +42,7 @@ from .graphs import (
     write_dimacs,
 )
 from .indexcoding import CompressionError, IndexCode, check_representing, code_by_method, simulate
-from .linalg import FieldTooSmallError, Matrix
+from .linalg import FieldTooSmallError, Matrix, rank
 from .ortho import (
     DEFAULT_OD_DIM_CAP,
     Representation,
@@ -262,6 +261,10 @@ def _verify_index_code(cert: dict, g: Graph) -> list[str]:
         for key in ("representingMatrix", "encodeMatrix", "decodeCoeffs"):
             if not _rows(cert[key], (int,)):
                 return [f"{key} is not a list of integer rows"]
+            bad = next(((i, j, x) for i, row in enumerate(cert[key]) for j, x in enumerate(row)
+                        if not 0 <= x < field.p), None)
+            if bad:
+                out.append("{}[{}][{}] = {} is not in [0, {})".format(key, *bad, field.p))
         for key, want, what in (("length", len(cert["encodeMatrix"]), "rows of encodeMatrix"),
                                 ("n", g.n, "vertices in the graph")):
             value = cert[key]
@@ -272,6 +275,8 @@ def _verify_index_code(cert: dict, g: Graph) -> list[str]:
         m = Matrix(field, tuple(tuple(r) for r in cert["representingMatrix"]))
         check_representing(g, m)
         b = Matrix(field, tuple(tuple(r) for r in cert["encodeMatrix"]))
+        if rank(b) != b.nrows:
+            out.append("rows of encodeMatrix are dependent")
         coeffs = tuple(tuple(c) for c in cert["decodeCoeffs"])
         if len(coeffs) != g.n:
             return [f"{len(coeffs)} rows of decode coefficients, graph has {g.n} vertices"]
@@ -381,6 +386,8 @@ def cmd_index_code(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import acceptance  # only selftest needs it; importing it costs every other command's start-up
+
     return EXIT_OK if acceptance.run_all() else EXIT_INFEASIBLE
 
 

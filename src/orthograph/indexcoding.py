@@ -41,11 +41,12 @@ be nonzero.
 
 build_code solves every receiver's lambda_i against one elimination of
 [B | I].  Each receiver's decode row (lambda_i, the neighbours j in N(i) in
-ascending order, their entries M_ij in the same order, and M_ii^-1) is
-computed once per code, as IndexCode.decode_rows; decode_one and simulate
-both decode from these rows through one helper, in plain-int arithmetic
-with sum(map(operator.mul, ...)), reading the message only at the
-receiver's neighbours.
+ascending order, their entries M_ij in the same order, and M_ii^-1, all
+reduced mod q) is computed once per code, as IndexCode.decode_rows.
+decode_one decodes one receiver from its row in plain-int arithmetic with
+sum(map(operator.mul, ...)), reading the message only at the receiver's
+neighbours; simulate decodes every receiver in a whole block of trials at
+once, from the same rows, on messages packed one column per int.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from __future__ import annotations
 import functools
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coloring import ParamResult, local_chromatic_number
-from .fields import PrimeField
-from .graphs import Graph, _bits, complement
+from .fields import MAX_PRIME, PrimeField
+from .graphs import MAX_VERTICES, Graph, _bits, complement
 from .linalg import (
     EchelonBasis,
     Matrix,
@@ -73,6 +75,7 @@ from .ortho import Representation, coloring_to_rep, independence_violations, min
 
 
 COMPRESSION_RETRIES = 64  # seeded attempts before compress_representation gives up
+SIMULATION_BLOCK = 1024  # trials that simulate decodes at once; its memory is O(n * SIMULATION_BLOCK)
 
 
 class RepresentingPatternError(ValueError):
@@ -118,10 +121,12 @@ class IndexCode:
     @functools.cached_property
     def decode_rows(self) -> tuple:
         """Per receiver i: (lambda_i, the neighbours j in N(i) in ascending
-        order, their entries M_ij in the same order, M_ii^-1).  A code
+        order, their entries M_ij in the same order, M_ii^-1), every entry
+        reduced mod q, so simulate's slot bound holds.  A code
         without one decode row of the code length per receiver raises
         ValueError."""
         f = self.field
+        p = f.p
         if len(self.decode_coeffs) != self.n:
             raise ValueError(f"{len(self.decode_coeffs)} rows of decode coefficients, graph has {self.n} vertices")
         if any(len(lam) != self.length for lam in self.decode_coeffs):
@@ -129,7 +134,7 @@ class IndexCode:
         out = []
         for i, (lam, row, nbrs) in enumerate(zip(self.decode_coeffs, self.matrix.rows, self.graph.adj, strict=True)):
             side = tuple(_bits(nbrs))
-            out.append((lam, side, tuple(row[j] for j in side), f.inv(row[i])))
+            out.append((tuple(x % p for x in lam), side, tuple(row[j] % p for j in side), f.inv(row[i])))
         return tuple(out)
 
 
@@ -308,15 +313,47 @@ class SimulationReport:
 
 
 def simulate(code: IndexCode, trials: int, seed: int = 0) -> SimulationReport:
-    """Round-trip uniformly random messages through encode/decode for every
-    receiver; failures must be zero for a valid code."""
+    """Round-trip uniformly random messages through the code for every
+    receiver; failures must be zero for a valid code.
+
+    The messages are drawn trial by trial, one randrange(q) per entry, and
+    decoded SIMULATION_BLOCK trials at a time in big-int arithmetic: X_j
+    packs x_j of every trial of the block into one int, one 64-bit slot per
+    trial, so Y_k = sum_j B_kj X_j packs y_k and
+        Z_i = M_ii^-1 (lambda_i . Y + sum_{j in N(i)} (q - M_ij) X_j) + (q - 1) X_i
+    packs (x_i as receiver i decodes it) - x_i, mod q.  Receiver i fails in
+    a trial exactly when that slot of Z_i is nonzero mod q.  Writing -a as
+    q - a keeps every slot nonnegative, so no borrow crosses a slot.  With
+    canonical entries a slot of Y_k is at most n*(q-1)^2, one of
+    lambda_i . Y at most length*n*(q-1)^3, and one of Z_i at most
+    length*n*(q-1)^4 + n*q*(q-1)^2; with length <= n <= MAX_VERTICES and
+    q <= MAX_PRIME that is below 6.6e16 < 2^64, so no carry crosses a slot
+    either.  A code outside these bounds raises ValueError."""
+    q, n, length = code.field.size, code.n, code.length
+    if not (q <= MAX_PRIME and length <= n <= MAX_VERTICES):
+        raise ValueError(f"simulate needs length <= n <= {MAX_VERTICES} and q <= {MAX_PRIME}, "
+                         f"got length {length}, n = {n}, q = {q}")
+    receivers = [(lam, side, tuple(q - c for c in coeffs), inv, i)
+                 for i, (lam, side, coeffs, inv) in enumerate(code.decode_rows)]
     randrange = random.Random(seed).randrange
-    q = code.field.size
-    rows = code.decode_rows
+    order = sys.byteorder
+    low = 0 if order == "little" else 7  # the byte of each 64-bit slot that holds a residue
+    mul = operator.mul
     failures = 0
-    for _ in range(trials):
-        x = [randrange(q) for _ in range(code.n)]
-        y = encode(code, x)
-        # row i lists exactly N(i), so receiver i reads x only at its side information
-        failures += sum(_decode(q, row, y, x) != xi for row, xi in zip(rows, x))
-    return SimulationReport(trials, failures, code.length)
+    for start in range(0, trials, SIMULATION_BLOCK):
+        block = min(SIMULATION_BLOCK, trials - start)
+        width = 8 * block
+        msgs = bytes(map(randrange, [q] * (block * n)))  # trial-major; q <= MAX_PRIME fits a byte
+        slots = bytearray(width)
+        x = []
+        for j in range(n):
+            slots[low::8] = msgs[j::n]
+            x.append(int.from_bytes(slots, order))
+        y = [sum(map(mul, row, x)) for row in code.encode_matrix.rows]
+        z = b"".join([
+            (inv * (sum(map(mul, lam, y)) + sum(map(mul, neg, map(x.__getitem__, side)))) + (q - 1) * x[i])
+            .to_bytes(width, order)
+            for lam, side, neg, inv, i in receivers
+        ])
+        failures += n * block - operator.countOf(map(q.__rmod__, memoryview(z).cast("Q")), 0)
+    return SimulationReport(trials, failures, length)

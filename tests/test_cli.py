@@ -218,6 +218,22 @@ def test_index_code_json_and_verify(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _shifted(key, i, j, by):
+    """Certificate edit: entry (i, j) of key moved by `by`, a multiple of 5."""
+    def edit(cert):
+        cert[key][i][j] += by
+    return edit
+
+
+def _repeated_encode_row(cert):
+    """Certificate edit: a copy of B's first row broadcast as a fourth row, which
+    every receiver ignores, so only the dependence of B's rows is wrong."""
+    cert["encodeMatrix"].append(cert["encodeMatrix"][0])
+    cert["length"] = 4
+    for lam in cert["decodeCoeffs"]:
+        lam.append(0)
+
+
 @pytest.mark.parametrize("edits, errors", [
     pytest.param({"representingMatrix": None}, None, id="representingMatrix-None"),
     pytest.param({"decodeCoeffs": [[1, 0, 0]]}, None, id="decodeCoeffs-value1"),
@@ -228,15 +244,30 @@ def test_index_code_json_and_verify(tmp_path, capsys):
     pytest.param({"length": "3"}, ["length is a str, not an integer"], id="length-str"),
     pytest.param({"n": True}, ["n is a bool, not an integer"], id="n-bool"),
     pytest.param({"length": None}, ["'length'"], id="length-missing"),  # the key is deleted below
+    # each edit below keeps every entry's residue mod 5, so the code still decodes
+    pytest.param(_shifted("decodeCoeffs", 0, 0, 5), ["decodeCoeffs[0][0] = 6 is not in [0, 5)"],
+                 id="decodeCoeffs-plus-p"),
+    pytest.param(_shifted("decodeCoeffs", 0, 0, -5), ["decodeCoeffs[0][0] = -4 is not in [0, 5)"],
+                 id="decodeCoeffs-minus-p"),
+    pytest.param(_shifted("decodeCoeffs", 0, 0, 5**30), [f"decodeCoeffs[0][0] = {5**30 + 1} is not in [0, 5)"],
+                 id="decodeCoeffs-plus-p30"),
+    pytest.param(_shifted("encodeMatrix", 1, 2, 5), ["encodeMatrix[1][2] = 6 is not in [0, 5)"],
+                 id="encodeMatrix-plus-p"),
+    pytest.param(_shifted("representingMatrix", 0, 1, 5), ["representingMatrix[0][1] = 6 is not in [0, 5)"],
+                 id="representingMatrix-plus-p"),
+    pytest.param(_repeated_encode_row, ["rows of encodeMatrix are dependent"], id="encodeMatrix-repeated-row"),
 ])
 def test_verify_fails_cleanly_on_malformed_index_codes(tmp_path, capsys, edits, errors):
     g = tmp_path / "g.dimacs"
     g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
     out = tmp_path / "code.json"
-    assert run_cli(["index-code", str(g), "--field", "2", "-o", str(out)]) == 0
+    assert run_cli(["index-code", str(g), "--field", "5", "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert (payload["length"], payload["n"]) == (3, 5)
-    payload.update(edits)
+    if callable(edits):
+        edits(payload)
+    else:
+        payload.update(edits)
     if edits == {"length": None}:
         del payload["length"]
     out.write_text(json.dumps(payload))

@@ -14,6 +14,7 @@ from orthograph.cli import main
 from orthograph.fields import GF2, GF3, PrimeField
 from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph, kneser, write_dimacs
 from orthograph.indexcoding import (
+    SIMULATION_BLOCK,
     IndexCode,
     RepresentingPatternError,
     _smallest_combination,
@@ -250,6 +251,12 @@ def test_simulate_zero_trials_and_corruption():
     short = IndexCode(code.field, code.graph, code.matrix, code.encode_matrix, code.decode_coeffs[:-1])
     with pytest.raises(ValueError, match="^4 rows of decode coefficients, graph has 5 vertices$"):
         simulate(short, 1)
+    # a broadcast longer than n is outside the slot bound that simulate proves
+    long_b = Matrix(code.field, code.encode_matrix.rows * 2)
+    long = IndexCode(code.field, code.graph, code.matrix, long_b, tuple(lam + (0,) * 3 for lam in code.decode_coeffs))
+    with pytest.raises(ValueError, match="^simulate needs length <= n <= 4096 and q <= 251, "
+                                         "got length 6, n = 5, q = 2$"):
+        simulate(long, 1)
 
 
 def test_methods_agree_on_validity_and_minrank_is_best():
@@ -343,6 +350,11 @@ def test_simulate_agrees_with_decode_one():
     for name, p, method in PINNED_RUNS[::2]:
         code = code_by_method(GRAPHS[name], PrimeField(p), method, seed=1)
         assert simulate(code, 30, seed=4).failures == _decode_one_failures(code, 30, 4) == 0
+        # lambda moved by multiples of q through the API: decode_rows reduces it
+        for shift in (p, -p, p**30):
+            lam = tuple(tuple(x + shift for x in c) for c in code.decode_coeffs)
+            shifted = IndexCode(code.field, code.graph, code.matrix, code.encode_matrix, lam)
+            assert simulate(shifted, 30, seed=4).failures == 0, (name, p, method, shift)
         # one lambda entry, then one off-diagonal M entry inside N(i), moved by +1
         i, k = rng.randrange(code.n), rng.randrange(code.length)
         lam = [list(c) for c in code.decode_coeffs]
@@ -358,3 +370,11 @@ def test_simulate_agrees_with_decode_one():
         ):
             failures = simulate(bad, 30, seed=4).failures
             assert failures == _decode_one_failures(bad, 30, 4) > 0, (name, p, method)
+    # the last corrupted code above, at trial counts around simulate's blocks
+    for trials in (0, 1, SIMULATION_BLOCK + 1):
+        assert simulate(bad, trials, seed=4).failures == _decode_one_failures(bad, trials, 4), trials
+    # the largest entries at the largest field: slots far past 32 bits
+    f = PrimeField(251)
+    top = ((250,) * 64,) * 64
+    every = IndexCode(f, complete_graph(64), Matrix(f, top), Matrix(f, top), top)
+    assert simulate(every, 30, seed=4).failures == _decode_one_failures(every, 30, 4) > 0
