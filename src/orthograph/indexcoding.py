@@ -41,12 +41,13 @@ be nonzero.
 
 build_code solves every receiver's lambda_i against one elimination of
 [B | I].  Each receiver's decode row (lambda_i, the neighbours j in N(i) in
-ascending order, their entries M_ij in the same order, and M_ii^-1, all
-reduced mod q) is computed once per code, as IndexCode.decode_rows.
-decode_one decodes one receiver from its row in plain-int arithmetic with
+ascending order, their entries M_ij in the same order, and M_ii^-1 mod q)
+is computed once per code, as IndexCode.decode_rows.  decode_one decodes
+one receiver from its row in plain-int arithmetic with
 sum(map(operator.mul, ...)), reading the message only at the receiver's
-neighbours; simulate decodes every receiver in a whole block of trials at
-once, from the same rows, on messages packed one column per int.
+neighbours; simulate folds each row into the receiver's residual row r_i,
+with decoded x_i = x_i + r_i . x mod q, and draws messages only when some
+r_i is nonzero mod q.
 """
 
 from __future__ import annotations
@@ -54,13 +55,12 @@ from __future__ import annotations
 import functools
 import operator
 import random
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coloring import ParamResult, local_chromatic_number
-from .fields import MAX_PRIME, PrimeField
-from .graphs import MAX_VERTICES, Graph, _bits, complement
+from .fields import PrimeField
+from .graphs import Graph, _bits, complement
 from .linalg import (
     EchelonBasis,
     Matrix,
@@ -75,7 +75,6 @@ from .ortho import Representation, coloring_to_rep, independence_violations, min
 
 
 COMPRESSION_RETRIES = 64  # seeded attempts before compress_representation gives up
-SIMULATION_BLOCK = 1024  # trials that simulate decodes at once; its memory is O(n * SIMULATION_BLOCK)
 
 
 class RepresentingPatternError(ValueError):
@@ -121,20 +120,19 @@ class IndexCode:
     @functools.cached_property
     def decode_rows(self) -> tuple:
         """Per receiver i: (lambda_i, the neighbours j in N(i) in ascending
-        order, their entries M_ij in the same order, M_ii^-1), every entry
-        reduced mod q, so simulate's slot bound holds.  A code
-        without one decode row of the code length per receiver raises
-        ValueError."""
-        f = self.field
-        p = f.p
+        order, their entries M_ij in the same order, M_ii^-1 mod q).  A code
+        without one decode row of the code length per receiver, or whose
+        broadcast rows do not have n entries, raises ValueError."""
         if len(self.decode_coeffs) != self.n:
             raise ValueError(f"{len(self.decode_coeffs)} rows of decode coefficients, graph has {self.n} vertices")
         if any(len(lam) != self.length for lam in self.decode_coeffs):
             raise ValueError(f"decode coefficients must have the code length {self.length}")
+        if self.length and self.encode_matrix.ncols != self.n:
+            raise ValueError(f"broadcast rows have {self.encode_matrix.ncols} entries, graph has {self.n} vertices")
         out = []
         for i, (lam, row, nbrs) in enumerate(zip(self.decode_coeffs, self.matrix.rows, self.graph.adj, strict=True)):
             side = tuple(_bits(nbrs))
-            out.append((tuple(x % p for x in lam), side, tuple(row[j] % p for j in side), f.inv(row[i])))
+            out.append((lam, side, tuple(row[j] for j in side), self.field.inv(row[i])))
         return tuple(out)
 
 
@@ -316,44 +314,33 @@ def simulate(code: IndexCode, trials: int, seed: int = 0) -> SimulationReport:
     """Round-trip uniformly random messages through the code for every
     receiver; failures must be zero for a valid code.
 
-    The messages are drawn trial by trial, one randrange(q) per entry, and
-    decoded SIMULATION_BLOCK trials at a time in big-int arithmetic: X_j
-    packs x_j of every trial of the block into one int, one 64-bit slot per
-    trial, so Y_k = sum_j B_kj X_j packs y_k and
-        Z_i = M_ii^-1 (lambda_i . Y + sum_{j in N(i)} (q - M_ij) X_j) + (q - 1) X_i
-    packs (x_i as receiver i decodes it) - x_i, mod q.  Receiver i fails in
-    a trial exactly when that slot of Z_i is nonzero mod q.  Writing -a as
-    q - a keeps every slot nonnegative, so no borrow crosses a slot.  With
-    canonical entries a slot of Y_k is at most n*(q-1)^2, one of
-    lambda_i . Y at most length*n*(q-1)^3, and one of Z_i at most
-    length*n*(q-1)^4 + n*q*(q-1)^2; with length <= n <= MAX_VERTICES and
-    q <= MAX_PRIME that is below 6.6e16 < 2^64, so no carry crosses a slot
-    either.  A code outside these bounds raises ValueError."""
-    q, n, length = code.field.size, code.n, code.length
-    if not (q <= MAX_PRIME and length <= n <= MAX_VERTICES):
-        raise ValueError(f"simulate needs length <= n <= {MAX_VERTICES} and q <= {MAX_PRIME}, "
-                         f"got length {length}, n = {n}, q = {q}")
-    receivers = [(lam, side, tuple(q - c for c in coeffs), inv, i)
-                 for i, (lam, side, coeffs, inv) in enumerate(code.decode_rows)]
-    randrange = random.Random(seed).randrange
-    order = sys.byteorder
-    low = 0 if order == "little" else 7  # the byte of each 64-bit slot that holds a residue
+    Receiver i decodes M_ii^-1 (lambda_i . B x - sum_{j in N(i)} M_ij x_j),
+    which is x_i + r_i . x mod q for the residual row
+        r_i = M_ii^-1 (lambda_i B - sum_{j in N(i)} M_ij e_j) - e_i,
+    so it fails in a trial exactly when r_i . x is nonzero mod q.  The rows
+    cost O(n^2 length) once per call.  Messages are drawn only when some
+    r_i is nonzero mod q, trial by trial with one randrange(q) per entry,
+    and each such receiver then costs O(n) per trial; a valid code draws
+    nothing, whatever trials is."""
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
+    q, n = code.field.size, code.n
     mul = operator.mul
+    cols = tuple(zip(*code.encode_matrix.rows)) or ((),) * n
+    residuals = []
+    for i, (lam, side, coeffs, inv) in enumerate(code.decode_rows):
+        r = [sum(map(mul, lam, col)) for col in cols]  # lambda_i B
+        for j, c in zip(side, coeffs):
+            r[j] -= c
+        r = [inv * x % q for x in r]
+        r[i] = (r[i] - 1) % q
+        if any(r):
+            residuals.append(r)
     failures = 0
-    for start in range(0, trials, SIMULATION_BLOCK):
-        block = min(SIMULATION_BLOCK, trials - start)
-        width = 8 * block
-        msgs = bytes(map(randrange, [q] * (block * n)))  # trial-major; q <= MAX_PRIME fits a byte
-        slots = bytearray(width)
-        x = []
-        for j in range(n):
-            slots[low::8] = msgs[j::n]
-            x.append(int.from_bytes(slots, order))
-        y = [sum(map(mul, row, x)) for row in code.encode_matrix.rows]
-        z = b"".join([
-            (inv * (sum(map(mul, lam, y)) + sum(map(mul, neg, map(x.__getitem__, side)))) + (q - 1) * x[i])
-            .to_bytes(width, order)
-            for lam, side, neg, inv, i in receivers
-        ])
-        failures += n * block - operator.countOf(map(q.__rmod__, memoryview(z).cast("Q")), 0)
-    return SimulationReport(trials, failures, length)
+    if residuals:
+        randrange = random.Random(seed).randrange
+        qs = [q] * n
+        for _ in range(trials):
+            x = list(map(randrange, qs))
+            failures += sum(sum(map(mul, r, x)) % q != 0 for r in residuals)
+    return SimulationReport(trials, failures, code.length)

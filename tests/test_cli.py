@@ -225,6 +225,16 @@ def _shifted(key, i, j, by):
     return edit
 
 
+def _narrow_encode_rows(cert):
+    """Certificate edit: the last entry of every row of B removed."""
+    cert["encodeMatrix"] = [row[:-1] for row in cert["encodeMatrix"]]
+
+
+def _wrong_decode_coeff(cert):
+    """Certificate edit: lambda_0[0] moved by +1 mod 5, a canonical entry."""
+    cert["decodeCoeffs"][0][0] = (cert["decodeCoeffs"][0][0] + 1) % 5
+
+
 def _repeated_encode_row(cert):
     """Certificate edit: a copy of B's first row broadcast as a fourth row, which
     every receiver ignores, so only the dependence of B's rows is wrong."""
@@ -256,6 +266,11 @@ def _repeated_encode_row(cert):
     pytest.param(_shifted("representingMatrix", 0, 1, 5), ["representingMatrix[0][1] = 6 is not in [0, 5)"],
                  id="representingMatrix-plus-p"),
     pytest.param(_repeated_encode_row, ["rows of encodeMatrix are dependent"], id="encodeMatrix-repeated-row"),
+    pytest.param(_narrow_encode_rows, ["rows of encodeMatrix are dependent"]
+                 + [f"decode coefficients of receiver {i} do not reconstruct row {i}" for i in range(5)]
+                 + ["broadcast rows have 4 entries, graph has 5 vertices"], id="encodeMatrix-narrow"),
+    pytest.param(_wrong_decode_coeff, ["decode coefficients of receiver 0 do not reconstruct row 0",
+                                       "12 decode failures in 20 simulated rounds"], id="decodeCoeffs-wrong"),
 ])
 def test_verify_fails_cleanly_on_malformed_index_codes(tmp_path, capsys, edits, errors):
     g = tmp_path / "g.dimacs"

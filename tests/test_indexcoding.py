@@ -7,16 +7,18 @@ import hashlib
 import itertools
 import json
 import random
+import types
 
 import pytest
 
 from orthograph.cli import main
 from orthograph.fields import GF2, GF3, PrimeField
 from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph, kneser, write_dimacs
+from orthograph import indexcoding
 from orthograph.indexcoding import (
-    SIMULATION_BLOCK,
     IndexCode,
     RepresentingPatternError,
+    SimulationReport,
     _smallest_combination,
     build_code,
     check_representing,
@@ -251,12 +253,31 @@ def test_simulate_zero_trials_and_corruption():
     short = IndexCode(code.field, code.graph, code.matrix, code.encode_matrix, code.decode_coeffs[:-1])
     with pytest.raises(ValueError, match="^4 rows of decode coefficients, graph has 5 vertices$"):
         simulate(short, 1)
-    # a broadcast longer than n is outside the slot bound that simulate proves
+    # a broadcast longer than n: every receiver ignores the repeated rows
     long_b = Matrix(code.field, code.encode_matrix.rows * 2)
     long = IndexCode(code.field, code.graph, code.matrix, long_b, tuple(lam + (0,) * 3 for lam in code.decode_coeffs))
-    with pytest.raises(ValueError, match="^simulate needs length <= n <= 4096 and q <= 251, "
-                                         "got length 6, n = 5, q = 2$"):
-        simulate(long, 1)
+    assert simulate(long, 20, seed=0).failures == _decode_one_failures(long, 20, 0) == 0
+    narrow_b = Matrix(code.field, tuple(row[:-1] for row in code.encode_matrix.rows))
+    narrow = IndexCode(code.field, code.graph, code.matrix, narrow_b, code.decode_coeffs)
+    with pytest.raises(ValueError, match="^broadcast rows have 4 entries, graph has 5 vertices$"):
+        simulate(narrow, 1)
+    with pytest.raises(ValueError, match="^trials must be at least 0, got -3$"):
+        simulate(code, -3)
+
+
+def test_simulate_of_a_valid_code_draws_no_message(monkeypatch):
+    class NoDraws:
+        def __init__(self, seed):
+            pass
+
+        def randrange(self, q):
+            raise AssertionError("simulate drew a message for a valid code")
+
+    monkeypatch.setattr(indexcoding, "random", types.SimpleNamespace(Random=NoDraws))
+    for g in (cycle_graph(5), kneser(5, 2)):
+        for method in ("minrank", "local", "compress"):
+            code = code_by_method(g, GF5, method, seed=0)
+            assert simulate(code, 10**9, seed=0) == SimulationReport(10**9, 0, code.length)
 
 
 def test_methods_agree_on_validity_and_minrank_is_best():
@@ -350,7 +371,7 @@ def test_simulate_agrees_with_decode_one():
     for name, p, method in PINNED_RUNS[::2]:
         code = code_by_method(GRAPHS[name], PrimeField(p), method, seed=1)
         assert simulate(code, 30, seed=4).failures == _decode_one_failures(code, 30, 4) == 0
-        # lambda moved by multiples of q through the API: decode_rows reduces it
+        # lambda moved by multiples of q through the API: only residues count
         for shift in (p, -p, p**30):
             lam = tuple(tuple(x + shift for x in c) for c in code.decode_coeffs)
             shifted = IndexCode(code.field, code.graph, code.matrix, code.encode_matrix, lam)
@@ -370,10 +391,10 @@ def test_simulate_agrees_with_decode_one():
         ):
             failures = simulate(bad, 30, seed=4).failures
             assert failures == _decode_one_failures(bad, 30, 4) > 0, (name, p, method)
-    # the last corrupted code above, at trial counts around simulate's blocks
-    for trials in (0, 1, SIMULATION_BLOCK + 1):
+    # the last corrupted code above, at other trial counts
+    for trials in (0, 1, 1025):
         assert simulate(bad, trials, seed=4).failures == _decode_one_failures(bad, trials, 4), trials
-    # the largest entries at the largest field: slots far past 32 bits
+    # the largest entries at the largest field, where every receiver fails
     f = PrimeField(251)
     top = ((250,) * 64,) * 64
     every = IndexCode(f, complete_graph(64), Matrix(f, top), Matrix(f, top), top)
