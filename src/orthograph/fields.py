@@ -61,12 +61,6 @@ class PrimeField:
     def element(self, x: int) -> int:
         return x % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -130,12 +124,6 @@ class RationalField:
         if isinstance(x, str) and not _RATIONAL.fullmatch(x.strip()):
             raise ValueError(f"{x!r} is not a rational number a, a/b or a decimal")
         return Fraction(x)
-
-    def add(self, a, b) -> Fraction:
-        return Fraction(a) + Fraction(b)
-
-    def sub(self, a, b) -> Fraction:
-        return Fraction(a) - Fraction(b)
 
     def mul(self, a, b) -> Fraction:
         return Fraction(a) * Fraction(b)

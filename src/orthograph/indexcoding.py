@@ -127,13 +127,16 @@ class IndexCode:
             raise ValueError(f"{len(self.decode_coeffs)} rows of decode coefficients, graph has {self.n} vertices")
         if any(len(lam) != self.length for lam in self.decode_coeffs):
             raise ValueError(f"decode coefficients must have the code length {self.length}")
-        if self.length and self.encode_matrix.ncols != self.n:
-            raise ValueError(f"broadcast rows have {self.encode_matrix.ncols} entries, graph has {self.n} vertices")
+        self._check_width()
         out = []
         for i, (lam, row, nbrs) in enumerate(zip(self.decode_coeffs, self.matrix.rows, self.graph.adj, strict=True)):
             side = tuple(_bits(nbrs))
             out.append((lam, side, tuple(row[j] for j in side), self.field.inv(row[i])))
         return tuple(out)
+
+    def _check_width(self) -> None:
+        if self.length and self.encode_matrix.ncols != self.n:
+            raise ValueError(f"broadcast rows have {self.encode_matrix.ncols} entries, graph has {self.n} vertices")
 
 
 def representing_matrix(g: Graph, rep: Representation) -> Matrix:
@@ -198,9 +201,11 @@ def build_code(g: Graph, m: Matrix) -> IndexCode:
 
 
 def encode(code: IndexCode, x: Sequence) -> tuple:
-    """Broadcast word y = B x for a message x in F^n."""
+    """Broadcast word y = B x for a message x in F^n; broadcast rows
+    without n entries raise ValueError."""
     if len(x) != code.n:
         raise ValueError(f"message length {len(x)} != n={code.n}")
+    code._check_width()
     p = code.field.p
     return tuple(sum(map(operator.mul, row, x)) % p for row in code.encode_matrix.rows)
 

@@ -253,7 +253,9 @@ class _SpanTable:
     assigned, memoised per pair.  class_mask(k), built on first use, is the
     mask of the points nondecreasing inside each class whose class-0 entries
     are at most p//2; a class tuple of singletons without class 0 allows
-    every point.
+    every point.  singletons, interned on first use, is the id of that
+    tuple, (1, 2, ..., t): refine maps it to itself, so a search started
+    there breaks no symmetry.
 
     _span_table keeps the tables of the searches in ortho in a 16-entry LRU
     cache; schulman_vectors builds its own, so it evicts none of them.
@@ -297,14 +299,21 @@ class _SpanTable:
         if nxt is None:
             labels = {(0, 0): 0}  # zero before and on point j: still class 0
             cls = tuple(labels.setdefault(pair, len(labels)) for pair in zip(self.classes[k], self.point(j)))
-            nxt = self._class_ids.get(cls)
-            if nxt is None:
-                nxt = self._class_ids[cls] = len(self.classes)
-                self.classes.append(cls)
-                self._refine.append({})
-                self._class_mask.append(None)
-            self._refine[k][j] = nxt
+            nxt = self._refine[k][j] = self._intern_classes(cls)
         return nxt
+
+    def _intern_classes(self, cls: tuple) -> int:
+        k = self._class_ids.get(cls)
+        if k is None:
+            k = self._class_ids[cls] = len(self.classes)
+            self.classes.append(cls)
+            self._refine.append({})
+            self._class_mask.append(None)
+        return k
+
+    @functools.cached_property
+    def singletons(self) -> int:
+        return self._intern_classes(tuple(range(1, self.t + 1)))
 
     def class_mask(self, k: int) -> int:
         m = self._class_mask[k]

@@ -16,18 +16,22 @@ cache; linalg._SpanTable describes it.  A set of points is an int bitmask
 over the table's point numbers, and ascending bit order is the order in
 which candidates are tried.
 
-find_orthogonal_rep keeps a domain mask per unassigned vertex, starting at
-the anisotropic points.  Assigning a vector ANDs its orthogonality mask
-into the domains of the unassigned neighbors.  Each closed neighborhood
-holds the subspace id of its assigned vectors' span; once its rank reaches
-the locality bound, its span mask is ANDed into the domains of its
-unassigned vertices.  An empty domain backtracks at once (forward
-checking).  Vertices follow a static order and each domain is walked in
-point order, so forward checking only cuts subtrees without a solution and
-the first witness found does not depend on it.  The search is one loop over
-an explicit stack, a frame per assigned vertex holding the points it has
-still to try, lowest first, and the domains, spans and column classes
-before it; backtracking pops a frame, so no state is undone.
+Every orthogonal search is one loop, _orthogonal_walk.  It keeps a domain
+mask per unassigned vertex, starting at the anisotropic points.  Assigning
+a vector ANDs its orthogonality mask into the domains of the unassigned
+neighbors.  Each closed neighborhood holds the subspace id of its assigned
+vectors' span; once its rank reaches the locality bound, its span mask is
+ANDed into the domains of its unassigned vertices.  An empty domain
+backtracks at once (forward checking).  Vertices follow a given order and
+each domain is walked in point order, so forward checking only cuts
+subtrees without a solution and what is found, and in which order, does
+not depend on it.  The loop runs over an explicit stack, a frame per
+assigned vertex holding the points it has still to try, lowest first, and
+the domains, spans and column classes before it; backtracking pops a
+frame, so no state is undone.  It stops one vertex short: for each
+assignment of the others that leaves every domain nonempty it yields the
+last vertex's domain, any point of which completes a solution, since every
+neighbor is assigned and every span at the bound has confined it already.
 
 Symmetry is broken at every node by the stabiliser of the assigned prefix
 (the stabiliser form of the lex-leader constraints of Crawford et al.,
@@ -48,15 +52,15 @@ and refine gives the classes of the child node.  The rule cuts subtrees
 that hold solutions, so it keeps every decision, though not necessarily
 the witness an unreduced search would find first.
 
-enumerate_orthogonal_reps and the gadget census of
-reduction.certify_gadget_lemma share one walk, _orthogonal_walk, with
-neither forward checking nor symmetry breaking.  It takes the vertices in
-index order; a vertex's domain is the AND of the orthogonality masks of its
-assigned earlier neighbors, walked in point order.  The walk stops one
-vertex short and yields the points of the others with the domain mask of
-the last: the census adds that mask's popcount, and the enumeration
-expands it in point order into one Representation per bit.  It is a single
-generator frame, keeping per vertex the mask of the points still to try.
+The loop has three callers.  find_orthogonal_rep runs it in the static
+order of _search_order from class id 0, the classes before any
+assignment, and completes its first yield with the lowest point of the
+last domain.  enumerate_orthogonal_reps and the gadget census of
+reduction.certify_gadget_lemma run it in index order from the table's
+singletons id, which refine maps to itself and whose class mask allows
+every point, so they break no symmetry and meet every orthogonal
+representation: the census adds each last domain's popcount, and the
+enumeration expands it in point order into one Representation per bit.
 
 find_independent_rep (the minrank search) runs on an explicit stack too.
 The exchange property folds both independence tests into one candidate
@@ -210,11 +214,30 @@ def find_orthogonal_rep(
     if locality is not None and locality >= t:
         locality = None  # no rank in F^t exceeds t
     order = _search_order(g)
+    for chosen, last in _orthogonal_walk(g, tab, order, locality):
+        chosen[order[-1]] = (last & -last).bit_length() - 1
+        return Representation(field, t, tuple(map(tab.point, chosen)))
+    return None
+
+
+def _orthogonal_walk(g: Graph, tab: _SpanTable, order: Sequence[int], locality: Optional[int] = None, k: int = 0):
+    """Yield (chosen, last) for every orthogonal assignment, in the table's
+    space, of the vertices of g (n >= 1) but order[-1] that leaves every
+    domain nonempty, taking the vertices in `order` and each domain in point
+    order: chosen[v] is the point of vertex v, last the mask of the points
+    order[-1] may take.  Closed neighborhoods have rank at most `locality`
+    (below t, or None), and the column classes start at id k.  chosen is one
+    list, overwritten between yields.
+
+    A class mask never empties a nonempty domain: the stabiliser of the
+    assigned vectors keeps every inner product and span of them, so each
+    domain is a union of its orbits, and every orbit has a point in the
+    mask.  So last is never 0."""
     # later[i]: the neighbors of order[i] after it in the order; events[i]:
     # (w, the vertices of w's closed neighborhood after order[i]) for each
     # closed neighborhood w holding order[i], w ascending, or nothing
     # without a locality bound
-    adj = g.adj
+    n, adj = g.n, g.adj
     closed = [a | 1 << v for v, a in enumerate(adj)]
     later, events = [], []
     unplaced = (1 << n) - 1
@@ -225,22 +248,28 @@ def find_orthogonal_rep(
     span, rank, extend, orth_mask = tab.span, tab.rank, tab.extend, tab.orth_mask
     refine, class_mask = tab.refine, tab.class_mask
     chosen = [0] * n
+    end, top, free = order[-1], n - 2, tab.singletons
     # the frame of order[i]: cand, the candidates it has still to try, lowest
     # bit first; dom, a domain mask per vertex; spans (None without a
     # locality bound), the subspace id of the span of each closed
-    # neighborhood so far; k, the id of the column classes of order[0..i-1].
-    # stack holds the frames of order[0..i-1].
-    i, k = 0, 0
+    # neighborhood so far; k, the id of the column classes of order[0..i-1],
+    # and km, its class mask.  stack holds the frames of order[0..i-1].
+    i = 0
     dom = [tab.aniso] * n
     spans = [0] * n if locality is not None else None
-    cand = dom[order[0]] & class_mask(0)
+    km = class_mask(k)
+    cand = dom[order[0]] & km
+    if n == 1:  # order[0] is the last vertex
+        if cand:
+            yield chosen, cand
+        return
     stack = []
     while True:
         if not cand:
             if not stack:
-                return None
+                return
             i -= 1
-            cand, dom, spans, k = stack.pop()
+            cand, dom, spans, k, km = stack.pop()
             continue
         low = cand & -cand
         cand ^= low
@@ -274,64 +303,28 @@ def find_orthogonal_rep(
                             break
             else:
                 chosen[order[i]] = c
+                nk = k if k == free else refine(k, c)  # refine fixes the singletons
+                nm = km if nk == k else class_mask(nk)
+                if i == top:  # the last vertex is never placed: yield its domain
+                    yield chosen, nd[end] & nm
+                    continue
                 i += 1
-                if i == n:
-                    return Representation(field, t, tuple(tab.point(j) for j in chosen))
-                stack.append((cand, dom, spans, k))
-                dom, spans, k = nd, ns, refine(k, c)
-                cand = dom[order[i]] & class_mask(k)
-
-
-def _orthogonal_walk(g: Graph, tab: _SpanTable):
-    """Yield (chosen, last) for every orthogonal assignment of vertices
-    0..n-2 of g (n >= 1) in the table's space, in ascending point order
-    vertex by vertex: chosen[v] is the point of vertex v, last the mask of
-    the points vertex n-1 may take.  chosen is one list, overwritten between
-    yields.
-
-    One loop walks the tree: left[v] is the mask of the points vertex v has
-    still to try, and a vertex's domain, the AND of the orthogonality masks
-    of its assigned earlier neighbors, is built once on reaching it."""
-    n = g.n
-    earlier = [_bits(g.adj[v] & ((1 << v) - 1)) for v in range(n)]
-    aniso, orth_mask = tab.aniso, tab.orth_mask
-    top = n - 1
-    chosen = [0] * top
-    if not top:
-        yield chosen, aniso
-        return
-    left = [0] * top
-    left[0] = aniso
-    v = 0
-    while v >= 0:
-        m = left[v]
-        if not m:
-            v -= 1
-            continue
-        low = m & -m
-        left[v] = m ^ low
-        chosen[v] = low.bit_length() - 1
-        v += 1
-        dom = aniso
-        for u in earlier[v]:
-            dom &= orth_mask(chosen[u])
-        if v == top:
-            yield chosen, dom
-            v -= 1
-        else:
-            left[v] = dom
+                stack.append((cand, dom, spans, k, km))
+                dom, spans, k, km = nd, ns, nk, nm
+                cand = dom[order[i]] & km
 
 
 def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):
     """Yield every orthogonal representation of g in F^t, one per scalar class
     of each vector (no further symmetry reduction)."""
     tab = _space(field, t)
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         yield Representation(field, t, ())
         return
     point = functools.lru_cache(maxsize=None)(tab.point)  # a point recurs in many yields
-    for chosen, last in _orthogonal_walk(g, tab):
-        head = tuple(point(c) for c in chosen)
+    for chosen, last in _orthogonal_walk(g, tab, range(n), k=tab.singletons):
+        head = tuple(map(point, chosen[:-1]))
         for c in _bits(last):
             yield Representation(field, t, head + (point(c),))
 

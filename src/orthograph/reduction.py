@@ -304,10 +304,12 @@ def certify_gadget_lemma(field: PrimeField, drop_matching_edge: bool = False) ->
     scalar class of each vector, and those whose endpoint vectors u_i, u_j
     are neither orthogonal nor proportional.
 
-    The count runs on point numbers: every assignment of the first five
-    vertices adds the size of the last vertex's domain, and two points are
-    proportional only when equal, since each has leading coefficient 1.
-    Vectors are built only for the first counterexample.
+    The count runs on point numbers, on the loop of find_orthogonal_rep
+    started at a class id that breaks no symmetry: every assignment of the
+    first five vertices that leaves each domain nonempty adds the size of
+    the last vertex's domain, and two points are proportional only when
+    equal, since each has leading coefficient 1.  Vectors are built only
+    for the first counterexample.
 
     With drop_matching_edge=True the weakened gadget is checked instead; it
     admits counterexamples, demonstrating the checker's sensitivity."""
@@ -316,13 +318,13 @@ def certify_gadget_lemma(field: PrimeField, drop_matching_edge: bool = False) ->
     enumerated = 0
     counterexamples = 0
     first = None
-    for chosen, last in _orthogonal_walk(h, tab):
+    for chosen, last in _orthogonal_walk(h, tab, range(h.n), k=tab.singletons):
         count = last.bit_count()
         enumerated += count
         c_i, c_j = chosen[0], chosen[3]
         if c_i == c_j or tab.orth_mask(c_i) >> c_j & 1:
             continue
         counterexamples += count
-        if first is None and count:
-            first = tuple(map(tab.point, chosen + [(last & -last).bit_length() - 1]))
+        if first is None:
+            first = tuple(map(tab.point, chosen[:-1] + [(last & -last).bit_length() - 1]))
     return GadgetReport(field.name, enumerated, counterexamples, first)

@@ -179,6 +179,16 @@ def test_encode_rejects_wrong_length():
         encode(code, (1, 0))
 
 
+def test_encode_rejects_narrow_broadcast_rows():
+    # zipping each row with the message would drop x_4: (3, 2, 0), not (3, 2, 4)
+    code = code_by_method(cycle_graph(5), GF5, "minrank")
+    assert encode(code, [1, 2, 3, 4, 4]) == (3, 2, 4)
+    narrow_b = Matrix(code.field, tuple(row[:-1] for row in code.encode_matrix.rows))
+    narrow = IndexCode(code.field, code.graph, code.matrix, narrow_b, code.decode_coeffs)
+    with pytest.raises(ValueError, match="^broadcast rows have 4 entries, graph has 5 vertices$"):
+        encode(narrow, [1, 2, 3, 4, 4])
+
+
 @pytest.mark.parametrize("g, length", [
     pytest.param(Graph(0), 0, id="no-vertices"),
     pytest.param(Graph(1), 1, id="one-vertex"),

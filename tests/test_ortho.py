@@ -39,6 +39,7 @@ from orthograph.ortho import (
     orthogonality_violations,
     rep_locality,
 )
+from orthograph.reduction import gadget_graph
 
 GF5 = PrimeField(5)
 
@@ -403,7 +404,8 @@ def _traced(tab, search):
 def test_find_orthogonal_rep_explores_the_recursive_tree():
     # the same candidates tried in the same order, and the same witness, as
     # the recursive search, on the atlas graphs with at most 6 vertices and
-    # on seeded random graphs with at most 9
+    # on seeded random graphs with at most 9; a found witness's last vertex
+    # is not placed, so the recursive search makes one call more
     atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in graph_atlas_g() if h.number_of_nodes() <= 6]
     rng = random.Random(16)
     cases = [(g, p, t) for p, max_t in ((2, 5), (3, 4), (5, 3)) for g in atlas for t in range(1, max_t + 1)]
@@ -414,20 +416,34 @@ def test_find_orthogonal_rep_explores_the_recursive_tree():
         for ell in (None, 1, 2, 3):
             rep, got = _traced(tab, lambda: find_orthogonal_rep(g, PrimeField(p), t, locality=ell))
             want_rep, want = _traced(tab, lambda: _recursive_find_orthogonal_rep(g, p, t, ell))
+            if want_rep is not None:
+                want = want[:-1]  # the last vertex's first candidate always fits, unplaced
             assert got == want, (g.edges(), p, t, ell)
             assert (None if rep is None else rep.vectors) == want_rep, (g.edges(), p, t, ell)
 
 
 def test_orthogonal_walk_matches_recursive_walk():
+    # started at the singleton classes, in index order, the walk yields the
+    # recursive walk's leaves whose last domain is nonempty, in its order
     atlas = [Graph(h.number_of_nodes(), list(h.edges())) for h in graph_atlas_g() if 1 <= h.number_of_nodes() <= 5]
     rng = random.Random(16)
     graphs = atlas + [_random_graph(rng, rng.randint(6, 7)) for _ in range(20)]
     for p, t in ((2, 3), (3, 3), (5, 2)):
         tab = _span_table(p, t)
         for g in graphs:
-            got = [(tuple(chosen), last) for chosen, last in _orthogonal_walk(g, tab)]
-            want = [(tuple(chosen), last) for chosen, last in _recursive_orthogonal_walk(g, tab)]
+            walk = _orthogonal_walk(g, tab, range(g.n), k=tab.singletons)
+            got = [(tuple(chosen[:-1]), last) for chosen, last in walk]
+            want = [(tuple(chosen), last) for chosen, last in _recursive_orthogonal_walk(g, tab) if last]
             assert got == want, (g.edges(), p, t)
+
+
+def test_gadget_walk_forward_checks():
+    # over GF(5) a walk without forward checking makes 4,825 orth_mask calls
+    # for 1,080 leaves, 840 of them with an empty last domain
+    tab = _span_table(5, 3)
+    g = gadget_graph()
+    leaves, points = _traced(tab, lambda: sum(1 for _ in _orthogonal_walk(g, tab, range(g.n), k=tab.singletons)))
+    assert (len(points), leaves) == (1945, 240)
 
 
 def test_search_order_matches_recursive_order():
