@@ -333,15 +333,15 @@ CRITERIA: list[tuple[str, Callable[[], str]]] = [
 ]
 
 
-def run_all(out=print) -> bool:
+def run_all() -> bool:
     """Run every check, print one line each, and return overall success."""
     ok = True
     for name, fn in CRITERIA:
         start = time.monotonic()
         try:
             summary = fn()
-            out(f"PASS {name} ({time.monotonic() - start:.1f}s): {summary}")
+            print(f"PASS {name} ({time.monotonic() - start:.1f}s): {summary}")
         except AssertionError as exc:
             ok = False
-            out(f"FAIL {name} ({time.monotonic() - start:.1f}s): {exc}")
+            print(f"FAIL {name} ({time.monotonic() - start:.1f}s): {exc}")
     return ok

@@ -189,9 +189,11 @@ def cmd_solve(args) -> int:
 
 
 def _rows(value, scalars: tuple) -> bool:
-    """Whether a JSON value is a list of lists of the given scalar types."""
+    """Whether a JSON value is a list of lists of the given scalar types; a
+    JSON true or false is not an integer."""
     return isinstance(value, list) and all(
-        isinstance(row, list) and all(isinstance(x, scalars) for x in row) for row in value
+        isinstance(row, list) and all(isinstance(x, scalars) and type(x) is not bool for x in row)
+        for row in value
     )
 
 
@@ -202,6 +204,8 @@ def _verify_certificate(cert: dict, g: Graph) -> list[str]:
     witness = cert.get("witness", {})
     if not isinstance(witness, dict):
         return ["witness is not a JSON object"]
+    if type(value) is not int:  # neither a JSON true nor 1.0 is a count
+        return [f"value is a {type(value).__name__}, not an integer"]
     out: list[str] = []
     try:
         if param in ("chi", "chi-local"):
@@ -220,7 +224,7 @@ def _verify_certificate(cert: dict, g: Graph) -> list[str]:
             # entries are integers, and over Q also strings such as "1/2"
             scalars = (int,) if isinstance(field, PrimeField) else (int, str)
             t = witness["t"]
-            if not isinstance(t, int) or not _rows(witness["vectors"], scalars):
+            if type(t) is not int or not _rows(witness["vectors"], scalars):
                 return ["witness needs an integer t and a list of vectors of field elements"]
             rep = Representation(field, t, tuple(tuple(v) for v in witness["vectors"]))
             if param == "od":

@@ -243,7 +243,7 @@ def _chromatic_number(g: Graph, omega: int) -> ParamResult:
 # -- local chromatic number ---------------------------------------------------
 
 
-def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> Optional[list[int]]:
+def locality_decision(g: Graph, ell: int) -> Optional[list[int]]:
     """Proper coloring of g whose every closed neighborhood carries at most
     ell distinct colors, or None if none exists.
 
@@ -259,26 +259,24 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
     so near[c] is also the set of centers whose neighborhood carries c.
 
     The uncolored vertices that can take color c are those outside near[c]
-    and blk[c]; a new color is open to those outside sat_cover while fewer
-    than max_colors are used.  Each node adds these masks into a bit-plane
-    counter, a few big-int operations per color instead of a loop over the
-    vertices.  It prunes when any uncolored vertex has no option left, and
-    otherwise branches on the lowest-index vertex with the fewest options,
-    trying its colors in increasing order with the new color last.  Options
-    only shrink along a branch, so the prune loses no solution: the answer
-    and the witness are those of a search that stops at the first vertex
-    without options in index order.  A saturated neighborhood's colors cannot
-    change while its branch lives, so every mask only grows along a branch;
-    each frame keeps the state as it was before its vertex was colored, and
-    undoing a color restores it.  The search runs on an explicit stack, so it
-    has no recursion limit."""
+    and blk[c]; a new color is open to those outside sat_cover.  Each node
+    adds these masks into a bit-plane counter, a few big-int operations per
+    color instead of a loop over the vertices.  It prunes when any uncolored
+    vertex has no option left, and otherwise branches on the lowest-index
+    vertex with the fewest options, trying its colors in increasing order
+    with the new color last.  Options only shrink along a branch, so the
+    prune loses no solution: the answer and the witness are those of a
+    search that stops at the first vertex without options in index order.
+    A saturated neighborhood's colors cannot change while its branch lives,
+    so every mask only grows along a branch; each frame keeps the state as
+    it was before its vertex was colored, and undoing a color restores it.
+    The search runs on an explicit stack, one loop pass per node, so it has
+    no recursion limit."""
     n = g.n
     if n == 0:
         return []
     if ell < 1:
         return None
-    if max_colors is None:
-        max_colors = n  # any proper coloring can be assumed to use <= n colors
     closed = [g.closed(v) for v in range(n)]
     colors = [-1] * n
     uncolored = (1 << n) - 1
@@ -288,18 +286,18 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
     # bit i of the number of colors on each closed neighborhood, by center;
     # no count exceeds ell
     counts = (0,) * ell.bit_length()
-
-    def branch():
-        """A frame for the most constrained uncolored vertex, True once every
-        vertex is colored, or None when some vertex has no option left."""
+    # one frame per colored vertex: [vertex, its options, next option, and
+    # near, blk, sat_cover and counts before it]
+    stack: list = []
+    while True:
         if not uncolored:
-            return True
-        options = [uncolored & ~(taken | blocked) for taken, blocked in zip(near, blk)]
-        if len(near) < max_colors:
-            options.append(uncolored & ~sat_cover)
+            return colors.copy()
+        # per color, then the new one: the uncolored vertices that can take it
+        able = [uncolored & ~(taken | blocked) for taken, blocked in zip(near, blk)]
+        able.append(uncolored & ~sat_cover)
         planes: list[int] = []  # bit i of each vertex's option count
         somewhere = 0
-        for carry in options:
+        for carry in able:
             somewhere |= carry
             for i, plane in enumerate(planes):
                 if not carry:
@@ -308,35 +306,20 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
                 carry &= plane
             if carry:
                 planes.append(carry)
-        if uncolored & ~somewhere:
-            return None
-        fewest = uncolored
-        for plane in reversed(planes):
-            if fewest & ~plane:
-                fewest &= ~plane
-        v = (fewest & -fewest).bit_length() - 1
-        return [v, [c for c, m in enumerate(options) if m >> v & 1], 0, near, blk, sat_cover, counts]
-
-    # one frame per colored vertex: [vertex, its options, next option, and
-    # near, blk, sat_cover and counts before it]
-    stack: list = []
-    top = branch()
-    while True:
-        if top is True:
-            return colors.copy()
-        if top is not None:
-            stack.append(top)
+        if not uncolored & ~somewhere:  # every vertex has an option: branch
+            fewest = uncolored
+            for plane in reversed(planes):
+                if fewest & ~plane:
+                    fewest &= ~plane
+            v = (fewest & -fewest).bit_length() - 1
+            stack.append([v, [c for c, m in enumerate(able) if m >> v & 1], 0, near, blk, sat_cover, counts])
+        while stack and stack[-1][2] == len(stack[-1][1]):
+            uncolored |= 1 << stack.pop()[0]
         if not stack:
             return None
         frame = stack[-1]
         # restoring the state before v undoes the option tried last
         v, options, k, near, blk, sat_cover, counts = frame
-        if k == len(options):
-            colors[v] = -1
-            uncolored |= 1 << v
-            stack.pop()
-            top = None
-            continue
         c = options[k]
         frame[2] = k + 1
         colors[v] = c
@@ -358,7 +341,6 @@ def locality_decision(g: Graph, ell: int, max_colors: Optional[int] = None) -> O
             for d, m in enumerate(near):
                 if not m >> w & 1:
                     blk[d] |= closed[w]
-        top = branch()
 
 
 def local_lower_bound(g: Graph, omega: Optional[int] = None) -> tuple[int, str]:
@@ -382,7 +364,7 @@ def local_chromatic_number(g: Graph, cap: int = DEFAULT_CHI_LOCAL_CAP) -> ParamR
         raise CapExceededError(f"local_chromatic_number cap {cap} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("chi_local", 0, (), "exhausted-search")
-    omega = max_clique(g, cap=max(cap, g.n)).value
+    omega = max_clique(g, cap=cap).value
     lb, reason = local_lower_bound(g, omega)
     chi = _chromatic_number(g, omega)
     ub_witness = list(chi.witness)

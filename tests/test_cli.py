@@ -141,6 +141,42 @@ def test_verify_fails_cleanly_on_malformed_certificates(tmp_path, capsys, param,
     assert out.err.startswith("verify: ")
 
 
+def _vectors_as_booleans(cert):
+    cert["witness"]["vectors"] = [[bool(x) for x in v] for v in cert["witness"]["vectors"]]
+
+
+@pytest.mark.parametrize("param, field, corrupt, error", [
+    # on two isolated vertices chi = od = 1, so true and 1.0 compare equal to
+    # every count the witness achieves
+    pytest.param("chi", [], lambda cert: cert.update(value=True), "value is a bool, not an integer",
+                 id="chi-value-bool"),
+    pytest.param("chi", [], lambda cert: cert.update(value=1.0), "value is a float, not an integer",
+                 id="chi-value-float"),
+    pytest.param("chi", [], lambda cert: cert["witness"].update(coloring=[False, False]),
+                 "witness coloring is not a list of integers", id="chi-coloring-bool"),
+    pytest.param("od", ["--field", "2"], lambda cert: (cert.update(value=True), cert["witness"].update(t=True)),
+                 "value is a bool, not an integer", id="od-value-t-bool"),
+    pytest.param("od", ["--field", "2"], lambda cert: cert["witness"].update(t=True),
+                 "witness needs an integer t and a list of vectors of field elements", id="od-t-bool"),
+    pytest.param("od", ["--field", "2"], _vectors_as_booleans,
+                 "witness needs an integer t and a list of vectors of field elements", id="od-vectors-bool"),
+])
+def test_verify_refuses_booleans_and_floats_for_integers(tmp_path, capsys, param, field, corrupt, error):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 2 0\n")
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(["solve", param, str(g), *field, "-o", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["value"] == 1
+    corrupt(cert)
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run_cli(["verify", str(cert_path), str(g)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "verification FAILED\n"
+    assert out.err == f"verify: {error}\n"
+
+
 def test_verify_rejects_a_certificate_that_is_not_an_object(tmp_path, capsys):
     g = tmp_path / "g.dimacs"
     g.write_text("p edge 2 1\ne 1 2\n")
@@ -225,6 +261,13 @@ def _shifted(key, i, j, by):
     return edit
 
 
+def _matrices_as_booleans(cert):
+    """Certificate edit: every 0 and 1 in the three matrices turned into a JSON
+    false and true, which keeps every value, so the code still decodes."""
+    for key in ("representingMatrix", "encodeMatrix", "decodeCoeffs"):
+        cert[key] = [[bool(x) if x in (0, 1) else x for x in row] for row in cert[key]]
+
+
 def _narrow_encode_rows(cert):
     """Certificate edit: the last entry of every row of B removed."""
     cert["encodeMatrix"] = [row[:-1] for row in cert["encodeMatrix"]]
@@ -253,6 +296,8 @@ def _repeated_encode_row(cert):
     pytest.param({"n": 4}, ["n 4 != 5 vertices in the graph"], id="n"),
     pytest.param({"length": "3"}, ["length is a str, not an integer"], id="length-str"),
     pytest.param({"n": True}, ["n is a bool, not an integer"], id="n-bool"),
+    pytest.param(_matrices_as_booleans, ["representingMatrix is not a list of integer rows"],
+                 id="matrices-bool"),
     pytest.param({"length": None}, ["'length'"], id="length-missing"),  # the key is deleted below
     # each edit below keeps every entry's residue mod 5, so the code still decodes
     pytest.param(_shifted("decodeCoeffs", 0, 0, 5), ["decodeCoeffs[0][0] = 6 is not in [0, 5)"],

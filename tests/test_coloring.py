@@ -27,6 +27,7 @@ from orthograph.coloring import (
 from orthograph.graphs import (
     MAX_VERTICES,
     Graph,
+    _bits,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -307,40 +308,34 @@ def _proper(g: Graph, colors) -> bool:
     return True
 
 
-def _brute_locality(g: Graph, ell: int, max_colors) -> bool:
+def _brute_locality(g: Graph, ell: int) -> bool:
     # every coloring up to renaming colors: restricted growth strings
     colorings = [[]]
     for _ in range(g.n):
         colorings = [c + [x] for c in colorings for x in range(max(c, default=-1) + 2)]
-    return any(
-        _proper(g, c) and num_colors(c) <= max_colors and coloring_locality(g, c) <= ell
-        for c in colorings
-    )
+    return any(_proper(g, c) and coloring_locality(g, c) <= ell for c in colorings)
 
 
 def _locality_answers(graphs) -> list:
-    # every answer for ell = 1..4 and max_colors None, 2, 3, each checked;
-    # decisions on graphs with at most 5 vertices also match brute force
+    # every answer for ell = 1..4, each checked; decisions on graphs with at
+    # most 5 vertices also match brute force
     out = []
     for g in graphs:
         for ell in (1, 2, 3, 4):
-            for max_colors in (None, 2, 3):
-                colors = locality_decision(g, ell, max_colors)
-                bound = g.n if max_colors is None else max_colors
-                if colors is not None:
-                    assert coloring_locality(g, colors) <= ell
-                    assert num_colors(colors) <= bound
-                if g.n <= 5:
-                    assert (colors is not None) == _brute_locality(g, ell, bound)
-                out.append(colors)
+            colors = locality_decision(g, ell)
+            if colors is not None:
+                assert coloring_locality(g, colors) <= ell
+            if g.n <= 5:
+                assert (colors is not None) == _brute_locality(g, ell)
+            out.append(colors)
     return out
 
 
 def test_locality_decision_answers_are_pinned():
     # the atlas graphs with at most 6 vertices, in atlas order
     out = _locality_answers(_atlas(6))
-    assert len(out) == 2508 and sum(c is None for c in out) == 1477
-    assert _digest(out) == "f1df20ceb2ef3a04d3fbb49f0e01a18014327a1291b9b1538d2bf6d63f4b1f1a"
+    assert len(out) == 836 and sum(c is None for c in out) == 399
+    assert _digest(out) == "c89597a7991930d56ae4ed7e2a7ce6346016943b2178b6f533d6b37cfe8c1976"
 
 
 def test_locality_decision_answers_on_seven_vertices_are_pinned():
@@ -348,8 +343,104 @@ def test_locality_decision_answers_on_seven_vertices_are_pinned():
     # digest was taken from the search that scanned the vertices for its
     # branching vertex and pruned only at the first one without options
     out = _locality_answers(g for g in _atlas(7) if g.n == 7)
-    assert len(out) == 12528 and sum(c is None for c in out) == 9099
-    assert _digest(out) == "f98ab484ed07764d63a3112e7bb2f368a3d9a52ccf44e9eb2aab02512c78bfdc"
+    assert len(out) == 4176 and sum(c is None for c in out) == 2435
+    assert _digest(out) == "c04027cbbb8bf2181198158df6d2fcd8269a1c7833d0c3a087a83a4b3e07f00f"
+
+
+def _closure_locality_decision(g: Graph, ell: int):
+    # the search as it was before it became one flat loop: a node was a call
+    # of the nested branch(), which returned True, None or a new frame; kept
+    # here, without its palette limit, to check that the loop explores the
+    # same tree
+    n = g.n
+    if n == 0:
+        return []
+    if ell < 1:
+        return None
+    closed = [g.closed(v) for v in range(n)]
+    colors = [-1] * n
+    uncolored = (1 << n) - 1
+    near, blk, sat_cover, counts = [], [], 0, (0,) * ell.bit_length()
+
+    def branch():
+        if not uncolored:
+            return True
+        options = [uncolored & ~(taken | blocked) for taken, blocked in zip(near, blk)]
+        options.append(uncolored & ~sat_cover)
+        planes = []
+        somewhere = 0
+        for carry in options:
+            somewhere |= carry
+            for i, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[i] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        if uncolored & ~somewhere:
+            return None
+        fewest = uncolored
+        for plane in reversed(planes):
+            if fewest & ~plane:
+                fewest &= ~plane
+        v = (fewest & -fewest).bit_length() - 1
+        return [v, [c for c, m in enumerate(options) if m >> v & 1], 0, near, blk, sat_cover, counts]
+
+    stack = []
+    top = branch()
+    while True:
+        if top is True:
+            return colors.copy()
+        if top is not None:
+            stack.append(top)
+        if not stack:
+            return None
+        frame = stack[-1]
+        v, options, k, near, blk, sat_cover, counts = frame
+        if k == len(options):
+            colors[v] = -1
+            uncolored |= 1 << v
+            stack.pop()
+            top = None
+            continue
+        c = options[k]
+        frame[2] = k + 1
+        colors[v] = c
+        uncolored &= ~(1 << v)
+        near, blk = near.copy(), blk.copy()
+        if c == len(near):
+            near.append(0)
+            blk.append(sat_cover)
+        fresh = closed[v] & ~near[c]
+        near[c] |= closed[v]
+        carry, full, bumped = fresh, fresh, []
+        for i, plane in enumerate(counts):
+            plane, carry = plane ^ carry, plane & carry
+            bumped.append(plane)
+            full &= plane if ell >> i & 1 else ~plane
+        counts = tuple(bumped)
+        for w in _bits(full):
+            sat_cover |= closed[w]
+            for d, m in enumerate(near):
+                if not m >> w & 1:
+                    blk[d] |= closed[w]
+        top = branch()
+
+
+def test_locality_decision_matches_closure_search():
+    # random graphs on 8 to 10 vertices, past the atlas, at several densities
+    rng = random.Random(23)
+    refuted = 0
+    for trial in range(600):
+        n = rng.randint(8, 10)
+        p = (0.25, 0.45, 0.65)[trial % 3]
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for ell in range(1, 6):
+            colors = locality_decision(g, ell)
+            assert colors == _closure_locality_decision(g, ell)
+            refuted += colors is None
+    assert refuted == 1558
 
 
 def test_locality_can_beat_color_count():
