@@ -30,7 +30,7 @@ from .indexcoding import code_by_method, compress_attempt, compress_representati
 from .linalg import EchelonBasis, Matrix, ceil_log, rank, schulman_vectors, vandermonde, verify_family
 from .ortho import (
     coloring_to_rep,
-    has_local_rep,
+    find_orthogonal_rep,
     independence_violations,
     local_orthogonality_dimension,
     minrank,
@@ -116,7 +116,7 @@ def check_bipartite_local_dimension_two() -> str:
             loc = rep_locality(g, rep)
             assert loc <= 2, f"bipartite graph {g.edges()} got locality {loc}"
         else:
-            assert not has_local_rep(g, GF2, 2), (
+            assert find_orthogonal_rep(g, GF2, max(g.n, 1), locality=2) is None, (
                 f"non-bipartite graph {g.edges()} admits a locality-2 representation"
             )
         checked += 1

@@ -197,6 +197,12 @@ def _rows(value, scalars: tuple) -> bool:
     )
 
 
+def _outside_field(key: str, rows: list, p: int) -> str:
+    """The first entry of rows outside [0, p), as a message, or ''."""
+    bad = next(((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if not 0 <= x < p), None)
+    return "{}[{}][{}] = {} is not in [0, {})".format(key, *bad, p) if bad else ""
+
+
 def _verify_certificate(cert: dict, g: Graph) -> list[str]:
     """Re-check a solve certificate against its graph; empty list means valid."""
     param = cert.get("param")
@@ -226,6 +232,10 @@ def _verify_certificate(cert: dict, g: Graph) -> list[str]:
             t = witness["t"]
             if type(t) is not int or not _rows(witness["vectors"], scalars):
                 return ["witness needs an integer t and a list of vectors of field elements"]
+            if isinstance(field, PrimeField):
+                bad = _outside_field("vectors", witness["vectors"], field.p)
+                if bad:
+                    return [bad]
             rep = Representation(field, t, tuple(tuple(v) for v in witness["vectors"]))
             if param == "od":
                 out.extend(orthogonality_violations(g, rep))
@@ -265,10 +275,9 @@ def _verify_index_code(cert: dict, g: Graph) -> list[str]:
         for key in ("representingMatrix", "encodeMatrix", "decodeCoeffs"):
             if not _rows(cert[key], (int,)):
                 return [f"{key} is not a list of integer rows"]
-            bad = next(((i, j, x) for i, row in enumerate(cert[key]) for j, x in enumerate(row)
-                        if not 0 <= x < field.p), None)
+            bad = _outside_field(key, cert[key], field.p)
             if bad:
-                out.append("{}[{}][{}] = {} is not in [0, {})".format(key, *bad, field.p))
+                out.append(bad)
         for key, want, what in (("length", len(cert["encodeMatrix"]), "rows of encodeMatrix"),
                                 ("n", g.n, "vertices in the graph")):
             value = cert[key]

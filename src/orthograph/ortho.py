@@ -61,6 +61,8 @@ singletons id, which refine maps to itself and whose class mask allows
 every point, so they break no symmetry and meet every orthogonal
 representation: the census adds each last domain's popcount, and the
 enumeration expands it in point order into one Representation per bit.
+has_local_rep decides ell <= 2 and bipartite graphs from the
+bipartition, so they never reach the walk.
 
 find_independent_rep (the minrank search) runs on an explicit stack too.
 The exchange property folds both independence tests into one candidate
@@ -373,9 +375,9 @@ def local_orthogonality_dimension(
     if g.n == 0:
         return ParamResult("od_local", 0, Representation(field, 0, ()), reason, dim_cap)
     for ell in range(max(lb, 1), min(g.n, dim_cap) + 1):
-        # t = ell first; failing that, one search at dim_cap decides ell (as
-        # in has_local_rep), and the t between are walked only once it
-        # succeeds, for the least-t witness
+        # t = ell first; failing that, one search at dim_cap decides ell
+        # (zero padding embeds F^t in F^dim_cap), and the t between are
+        # walked only once it succeeds, for the least-t witness
         rep = find_orthogonal_rep(g, field, ell, locality=ell)
         top = None if rep is not None or ell == dim_cap else find_orthogonal_rep(g, field, dim_cap, locality=ell)
         if top is not None:
@@ -391,11 +393,34 @@ def has_local_rep(g: Graph, field: PrimeField, ell: int, dim_cap: Optional[int] 
     """Decision: does g admit an orthogonal representation over F with
     locality <= ell in some dimension t <= dim_cap (default n)?
 
-    One search at t = dim_cap decides it: padding with zero coordinates
-    embeds a representation in F^t into F^dim_cap with the same inner
-    products and ranks."""
+    Padding with zero coordinates embeds a representation in F^t into
+    F^dim_cap with the same inner products and ranks, so one search at
+    t = dim_cap decides it.  Bipartite graphs and ell <= 2 need none.
+
+    A bipartite graph with n >= 1 has the representation coloring_to_rep
+    builds from its bipartition: e_1 on one side and e_2 on the other, or
+    e_1 alone with no edge.  It is valid over every field in dimension
+    need, with locality need: 2, or 1 with no edge.  No representation
+    does better, since an edge needs two orthogonal anisotropic vectors,
+    which are independent.
+
+    A non-bipartite graph has no representation of locality <= 2.  Let S
+    be the span of N[v], of rank <= 2.  It holds u_v, and <u_v,u_v> != 0,
+    so x -> <x,u_v> is nonzero on S, and its kernel in S has dimension
+    <= 1: all neighbors of v are multiples of one vector.  Walking an odd
+    cycle v_0 ... v_2k two steps at a time gives u_{v_2k} = c*u_{v_0} with
+    c != 0; then the edge v_2k v_0 forces c<u_{v_0},u_{v_0}> = 0, a
+    contradiction."""
+    if field.size is None:
+        raise ValueError("searches require a finite prime field")
     if dim_cap is None:
         dim_cap = max(g.n, 1)
+    if g.n:
+        if g.bipartition() is not None:
+            need = 2 if g.num_edges else 1
+            return need <= ell and need <= dim_cap
+        if ell <= 2:
+            return False
     return find_orthogonal_rep(g, field, dim_cap, locality=ell) is not None
 
 

@@ -177,6 +177,30 @@ def test_verify_refuses_booleans_and_floats_for_integers(tmp_path, capsys, param
     assert out.err == f"verify: {error}\n"
 
 
+@pytest.mark.parametrize("param", ["od", "od-local", "minrank"])
+@pytest.mark.parametrize("shift", [
+    # every entry raised by p, or every nonzero entry lowered by p: the same
+    # residues, so only a range check tells them from the solver's witness
+    pytest.param(lambda x: x + 2, id="raised"),
+    pytest.param(lambda x: x - 2 if x else x, id="lowered"),
+])
+def test_verify_refuses_vector_entries_outside_the_field(tmp_path, capsys, param, shift):
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(["solve", param, str(g), "--field", "2", "-o", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    vectors = [[shift(x) for x in v] for v in cert["witness"]["vectors"]]
+    cert["witness"]["vectors"] = vectors
+    cert_path.write_text(json.dumps(cert))
+    i, j = next((i, j) for i, v in enumerate(vectors) for j, x in enumerate(v) if not 0 <= x < 2)
+    capsys.readouterr()
+    assert run_cli(["verify", str(cert_path), str(g)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "verification FAILED\n"
+    assert out.err == f"verify: vectors[{i}][{j}] = {vectors[i][j]} is not in [0, 2)\n"
+
+
 def test_verify_rejects_a_certificate_that_is_not_an_object(tmp_path, capsys):
     g = tmp_path / "g.dimacs"
     g.write_text("p edge 2 1\ne 1 2\n")

@@ -154,6 +154,34 @@ def test_has_local_rep_allows_dimensions_below_ell():
     assert has_local_rep(empty_graph(2), GF2, 3)
 
 
+def test_has_local_rep_matches_the_search():
+    # the bipartition shortcut against the search it skips, at every cap
+    cases = mismatches = 0
+    for field, max_n in ((GF2, 6), (GF3, 5), (GF5, 5)):
+        for h in graph_atlas_g():
+            if h.number_of_nodes() > max_n:
+                break
+            g = Graph(h.number_of_nodes(), list(h.edges()))
+            for cap in range(1, max(g.n, 1) + 1):
+                for ell in range(-1, 5):
+                    want = find_orthogonal_rep(g, field, cap, locality=ell) is not None
+                    mismatches += has_local_rep(g, field, ell, dim_cap=cap) != want
+                    cases += 1
+    assert (cases, mismatches) == (9792, 0)
+
+
+def test_has_local_rep_decides_large_bipartite_questions():
+    # the search would build a span table over F^n
+    assert has_local_rep(cycle_graph(2000), GF3, 2)
+    assert not has_local_rep(cycle_graph(2001), GF3, 2)
+    assert has_local_rep(cycle_graph(3000), GF5, 7)
+
+
+def test_has_local_rep_refuses_fields_without_a_size():
+    with pytest.raises(ValueError, match="finite prime field"):
+        has_local_rep(cycle_graph(4), QQ, 2)
+
+
 def _brute_force_min_locality(g: Graph, p: int, t: int):
     """Least locality over every orthogonal representation of g in GF(p)^t, or
     None if there is none.  Tries every assignment of anisotropic vectors with
@@ -265,8 +293,8 @@ def test_class_masks_keep_every_decision():
 
 def test_orthogonal_searches_need_no_recursion():
     # one search frame per assigned vertex, past the default recursion limit
-    assert has_local_rep(cycle_graph(2000), GF2, 2, dim_cap=2)
-    assert not has_local_rep(cycle_graph(1999), GF2, 2, dim_cap=3)
+    assert find_orthogonal_rep(cycle_graph(2000), GF2, 2, locality=2) is not None
+    assert find_orthogonal_rep(cycle_graph(1999), GF2, 3, locality=2) is None
     path = Graph(1500, [(v, v + 1) for v in range(1499)])
     reps = list(enumerate_orthogonal_reps(path, GF2, 2))
     assert len(reps) == 2

@@ -1,4 +1,5 @@
-"""Inequalities between the graph parameters, over GF(2) and GF(3): as
+"""Inequalities between the graph parameters, and the locality decision
+against the local orthogonality dimension, over GF(2) and GF(3): as
 property tests over random graphs with at most 6 vertices (8 for the
 coloring parameters alone), and over every atlas graph with at most 6
 vertices."""
@@ -18,6 +19,7 @@ from orthograph.graphs import Graph, complement
 from orthograph.linalg import ceil_log
 from orthograph.ortho import (
     coloring_to_rep,
+    has_local_rep,
     local_orthogonality_dimension,
     minrank,
     orthogonality_dimension,
@@ -55,6 +57,17 @@ def test_local_orthogonality_dimension_below_od_and_local_chromatic(field, g):
     assert lod.value <= od
     assert lod.value <= local_chromatic_number(g).value
     assert rep_locality(g, lod.witness) == lod.value
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["GF2", "GF3"])
+@settings(max_examples=100, deadline=None)
+@given(g=graphs())
+def test_local_rep_decision_matches_local_orthogonality_dimension(field, g):
+    # the bipartition shortcut below ell = 3 and the search above it, against
+    # the search-based solver at the same default cap
+    lod = local_orthogonality_dimension(g, field).value
+    for ell in (1, 2, 3):
+        assert has_local_rep(g, field, ell) == (lod <= ell)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["GF2", "GF3"])
