@@ -6,8 +6,9 @@ simulate a linear index code), verify (re-check a certificate against its
 graph), selftest (run the full verification battery).
 
 Exit codes: 0 success; 1 verified-infeasible answer or failed verification;
-2 usage error; 3 size/dimension cap exceeded.  Output is deterministic for
-fixed inputs and seeds.
+2 usage error; 3 a size cap exceeded (CapExceededError: MAX_VERTICES, a
+solver's vertex or dimension cap, or a span table past linalg.MAX_POINTS).
+Output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations

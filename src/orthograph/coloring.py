@@ -2,7 +2,7 @@
 with witnesses that re-verify independently of the search path.
 
 ParamResult is the result type of every exact solver in the package,
-the vector parameters of ortho included.
+the vector parameters of ortho included, and _ladder builds it.
 
 The local chromatic number of a coloring is the maximum number of distinct
 colors on a closed neighborhood.  No published algorithm exists for the
@@ -21,7 +21,7 @@ vertex was colored, and backtracking restores them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import CapExceededError, Graph, _bits
 
@@ -48,6 +48,19 @@ class ParamResult:
     dim_cap: Optional[int] = None
 
 
+def _ladder(param: str, lo: int, hi: int, decide: Callable, reason: str, top=None, dim_cap=None) -> Optional[ParamResult]:
+    """The least value in lo..hi-1 at which decide finds a witness (a list
+    becomes a tuple); past them, hi with the witness top, or None if top is
+    None.  reason names the analytic lower bound lo and stands if lo is the
+    value; above lo the refutations prove it: exhausted-search."""
+    tries = ((value, decide(value)) for value in range(lo, hi))
+    value, witness = next((tried for tried in tries if tried[1] is not None), (hi, top))
+    if witness is None:
+        return None
+    witness = tuple(witness) if isinstance(witness, list) else witness
+    return ParamResult(param, value, witness, reason if value == lo else "exhausted-search", dim_cap)
+
+
 def check_proper(g: Graph, colors: Sequence[int]) -> None:
     if len(colors) != g.n:
         raise ImproperColoringError(f"coloring length {len(colors)} != n={g.n}")
@@ -71,10 +84,10 @@ def num_colors(colors: Sequence[int]) -> int:
 # -- max clique ---------------------------------------------------------------
 
 
-def max_clique(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> ParamResult:
+def max_clique(g: Graph) -> ParamResult:
     """Exact maximum clique by branch and bound with a greedy coloring bound."""
-    if g.n > cap:
-        raise CapExceededError(f"max_clique cap {cap} exceeded (n={g.n})")
+    if g.n > DEFAULT_CLIQUE_CAP:
+        raise CapExceededError(f"max_clique cap {DEFAULT_CLIQUE_CAP} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("omega", 0, (), "exhausted-search")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
@@ -217,27 +230,20 @@ def _dsatur(g: Graph, k: int) -> Optional[list[int]]:
     return None
 
 
-def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> ParamResult:
+def chromatic_number(g: Graph) -> ParamResult:
     """Exact chromatic number; lower bound certified by exhausting
     (value-1)-colorability unless the clique bound already meets the value."""
-    if g.n > cap:
-        raise CapExceededError(f"chromatic_number cap {cap} exceeded (n={g.n})")
+    if g.n > DEFAULT_CHI_CAP:
+        raise CapExceededError(f"chromatic_number cap {DEFAULT_CHI_CAP} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("chi", 0, (), "exhausted-search")
-    return _chromatic_number(g, max_clique(g, cap=cap).value)
+    return _chromatic_number(g, max_clique(g).value)
 
 
 def _chromatic_number(g: Graph, omega: int) -> ParamResult:
     """chromatic_number on a nonempty graph whose clique number is omega."""
     ub_witness = greedy_coloring(g)
-    ub = num_colors(ub_witness)
-    reason = "clique"
-    for k in range(omega, ub):
-        found = k_colorable(g, k)
-        if found is not None:
-            return ParamResult("chi", k, tuple(found), reason)
-        reason = "exhausted-search"
-    return ParamResult("chi", ub, tuple(ub_witness), reason if ub > omega else "clique")
+    return _ladder("chi", omega, num_colors(ub_witness), lambda k: k_colorable(g, k), "clique", ub_witness)
 
 
 # -- local chromatic number ---------------------------------------------------
@@ -358,20 +364,14 @@ def local_lower_bound(g: Graph, omega: Optional[int] = None) -> tuple[int, str]:
     return bound, reason
 
 
-def local_chromatic_number(g: Graph, cap: int = DEFAULT_CHI_LOCAL_CAP) -> ParamResult:
+def local_chromatic_number(g: Graph) -> ParamResult:
     """Exact local chromatic number with a witness coloring."""
-    if g.n > cap:
-        raise CapExceededError(f"local_chromatic_number cap {cap} exceeded (n={g.n})")
+    if g.n > DEFAULT_CHI_LOCAL_CAP:
+        raise CapExceededError(f"local_chromatic_number cap {DEFAULT_CHI_LOCAL_CAP} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("chi_local", 0, (), "exhausted-search")
-    omega = max_clique(g, cap=cap).value
+    omega = max_clique(g).value
     lb, reason = local_lower_bound(g, omega)
-    chi = _chromatic_number(g, omega)
-    ub_witness = list(chi.witness)
+    ub_witness = _chromatic_number(g, omega).witness
     ub = coloring_locality(g, ub_witness)
-    for ell in range(lb, ub):
-        found = locality_decision(g, ell)
-        if found is not None:
-            return ParamResult("chi_local", ell, tuple(found), reason)
-        reason = "exhausted-search"
-    return ParamResult("chi_local", ub, tuple(ub_witness), reason)
+    return _ladder("chi_local", lb, ub, lambda ell: locality_decision(g, ell), reason, ub_witness)

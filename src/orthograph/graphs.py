@@ -17,7 +17,8 @@ MAX_VERTICES = 4096
 
 
 class CapExceededError(ValueError):
-    """Instance exceeds a configured size cap: MAX_VERTICES or an exact solver's."""
+    """Instance exceeds a size cap: MAX_VERTICES, an exact solver's vertex
+    cap, a dimension cap, or linalg.MAX_POINTS."""
 
 
 class DimacsParseError(ValueError):
@@ -196,14 +197,11 @@ def cycle_graph(r: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
+    """Built row by row: no edge list is made."""
     full = (1 << g.n) - 1
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in _bits(full & ~g.adj[u] & ~(1 << u))
-        if u < v
-    ]
-    return Graph(g.n, edges)
+    h = Graph(g.n)
+    h.adj = tuple(full ^ a ^ 1 << u for u, a in enumerate(g.adj))
+    return h
 
 
 def line_graph(h: Graph) -> Graph:

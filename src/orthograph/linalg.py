@@ -42,8 +42,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fields import Field, PrimeField
+from .graphs import CapExceededError
 
 Vector = tuple
+MAX_POINTS = 2**20  # the most points of F^t a span table may have
 
 
 class FieldTooSmallError(ValueError):
@@ -258,7 +260,9 @@ class _SpanTable:
     there breaks no symmetry.
 
     _span_table keeps the tables of the searches in ortho in a 16-entry LRU
-    cache; schulman_vectors builds its own, so it evicts none of them.
+    cache and refuses one of more than MAX_POINTS points before it is built;
+    schulman_vectors builds its own, so it evicts none of them, and lists
+    only spans of rank at most ell, so no bound applies there.
     Arithmetic is plain %, not PrimeField's: a table is cached across
     searches, so field-operation counts taken per search must not include
     its construction."""
@@ -430,6 +434,9 @@ class _SpanTable:
 
 @functools.lru_cache(maxsize=16)
 def _span_table(p: int, t: int) -> _SpanTable:
+    # F^t has at least 2^t - 1 points, so p**t is only taken for small t
+    if t > MAX_POINTS.bit_length() or (p**t - 1) // (p - 1) > MAX_POINTS:
+        raise CapExceededError(f"GF({p})^{t} has more than MAX_POINTS = {MAX_POINTS} points")
     return _SpanTable(p, t)
 
 

@@ -80,7 +80,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coloring import CapExceededError, ParamResult, check_proper, local_lower_bound, max_clique
+from .coloring import CapExceededError, ParamResult, _ladder, check_proper, local_lower_bound, max_clique
 from .fields import Field, PrimeField
 from .graphs import Graph, _bits, complement
 from .linalg import EchelonBasis, _span_table, _SpanTable
@@ -209,10 +209,10 @@ def find_orthogonal_rep(
     space."""
     tab = _space(field, t)
     n = g.n
+    if locality is not None and locality < min(n, 1):
+        return None  # a vertex has rank 1, and no rank is negative
     if n == 0:
         return Representation(field, t, ())
-    if locality is not None and locality < 1:
-        return None
     if locality is not None and locality >= t:
         locality = None  # no rank in F^t exceeds t
     order = _search_order(g)
@@ -334,47 +334,34 @@ def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):
 # -- parameters ---------------------------------------------------------------
 
 
-def orthogonality_dimension(
-    g: Graph,
-    field: PrimeField,
-    vertex_cap: int = DEFAULT_OD_VERTEX_CAP,
-    dim_cap: int = DEFAULT_OD_DIM_CAP,
-) -> ParamResult:
+def orthogonality_dimension(g: Graph, field: PrimeField, dim_cap: int = DEFAULT_OD_DIM_CAP) -> ParamResult:
     """Exact orthogonality dimension: least t admitting a representation in F^t."""
-    if g.n > vertex_cap:
-        raise CapExceededError(f"orthogonality_dimension vertex cap {vertex_cap} exceeded (n={g.n})")
+    if g.n > DEFAULT_OD_VERTEX_CAP:
+        raise CapExceededError(f"orthogonality_dimension vertex cap {DEFAULT_OD_VERTEX_CAP} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("od", 0, Representation(field, 0, ()), "exhausted-search")
-    omega = max_clique(g).value
-    reason = "clique"
-    for t in range(max(omega, 1), dim_cap + 1):
-        rep = find_orthogonal_rep(g, field, t)
-        if rep is not None:
-            return ParamResult("od", t, rep, reason)
-        reason = "exhausted-search"
-    raise CapExceededError(f"no orthogonal representation within dimension cap {dim_cap}")
+    res = _ladder("od", max_clique(g).value, dim_cap + 1, lambda t: find_orthogonal_rep(g, field, t), "clique")
+    if res is None:
+        raise CapExceededError(f"no orthogonal representation within dimension cap {dim_cap}")
+    return res
 
 
-def local_orthogonality_dimension(
-    g: Graph,
-    field: PrimeField,
-    dim_cap: Optional[int] = None,
-    vertex_cap: int = DEFAULT_LOCAL_OD_VERTEX_CAP,
-) -> ParamResult:
+def local_orthogonality_dimension(g: Graph, field: PrimeField, dim_cap: Optional[int] = None) -> ParamResult:
     """Exact-under-cap local orthogonality dimension: least achievable
     closed-neighborhood rank over representations in F^t, t <= dim_cap.
 
     Whether ambient dimension n always suffices for the optimum over a finite
     field is open, so the result carries the cap in its dim_cap.
     """
-    if g.n > vertex_cap:
-        raise CapExceededError(f"local_orthogonality_dimension vertex cap {vertex_cap} exceeded (n={g.n})")
+    if g.n > DEFAULT_LOCAL_OD_VERTEX_CAP:
+        raise CapExceededError(f"local_orthogonality_dimension vertex cap {DEFAULT_LOCAL_OD_VERTEX_CAP} exceeded (n={g.n})")
     if dim_cap is None:
         dim_cap = max(g.n, 1)
     lb, reason = local_lower_bound(g)
     if g.n == 0:
         return ParamResult("od_local", 0, Representation(field, 0, ()), reason, dim_cap)
-    for ell in range(max(lb, 1), min(g.n, dim_cap) + 1):
+
+    def decide(ell: int) -> Optional[Representation]:
         # t = ell first; failing that, one search at dim_cap decides ell
         # (zero padding embeds F^t in F^dim_cap), and the t between are
         # walked only once it succeeds, for the least-t witness
@@ -383,10 +370,12 @@ def local_orthogonality_dimension(
         if top is not None:
             reps = (find_orthogonal_rep(g, field, t, locality=ell) for t in range(ell + 1, dim_cap))
             rep = next((r for r in reps if r is not None), top)
-        if rep is not None:
-            return ParamResult("od_local", ell, rep, reason, dim_cap)
-        reason = "exhausted-search"
-    raise CapExceededError(f"no representation found with dimension cap {dim_cap}")
+        return rep
+
+    res = _ladder("od_local", lb, min(g.n, dim_cap) + 1, decide, reason, dim_cap=dim_cap)
+    if res is None:
+        raise CapExceededError(f"no representation found with dimension cap {dim_cap}")
+    return res
 
 
 def has_local_rep(g: Graph, field: PrimeField, ell: int, dim_cap: Optional[int] = None) -> bool:
@@ -489,17 +478,18 @@ def find_independent_rep(g: Graph, field: PrimeField, t: int) -> Optional[Repres
         cand = span[standard(r)] & ~bad | (fresh if r < t else 0)
 
 
-def minrank(g: Graph, field: PrimeField, cap: int = DEFAULT_MINRANK_CAP) -> ParamResult:
+def minrank(g: Graph, field: PrimeField) -> ParamResult:
     """Exact minrank of g over F: the least t for which the complement admits
     a t-dimensional independent representation.  The witness is that
-    representation (feed it to indexcoding.representing_matrix for a matrix)."""
-    if g.n > cap:
-        raise CapExceededError(f"minrank cap {cap} exceeded (n={g.n})")
+    representation (feed it to indexcoding.representing_matrix for a matrix).
+    t starts at alpha(g), a clique of the complement, whose vectors are
+    independent (Bar-Yossef, Birk, Jayram and Kol, FOCS 2006)."""
+    if g.n > DEFAULT_MINRANK_CAP:
+        raise CapExceededError(f"minrank cap {DEFAULT_MINRANK_CAP} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("minrank", 0, Representation(field, 0, ()), "exhausted-search")
     h = complement(g)
-    for t in range(1, g.n + 1):
-        rep = find_independent_rep(h, field, t)
-        if rep is not None:
-            return ParamResult("minrank", t, rep, "exhausted-search")
-    raise AssertionError("unreachable: standard basis is always an independent representation")
+    res = _ladder("minrank", max_clique(h).value, g.n + 1, lambda t: find_independent_rep(h, field, t), "clique")
+    if res is None:
+        raise AssertionError("unreachable: standard basis is always an independent representation")
+    return res

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from orthograph.cli import main
-from orthograph.graphs import complete_graph, kneser, read_dimacs, write_dimacs
+from orthograph.graphs import complete_graph, cycle_graph, kneser, read_dimacs, schrijver, write_dimacs
 
 
 def run_cli(args):
@@ -229,6 +229,39 @@ def test_solve_cap_exceeded_exit_code(tmp_path, capsys):
     g = tmp_path / "big.dimacs"
     g.write_text("\n".join(lines) + "\n")
     assert run_cli(["solve", "minrank", str(g), "--field", "2"]) == 3
+    capsys.readouterr()
+
+
+def test_span_tables_past_max_points_exit_3_before_any_search(tmp_path, capsys):
+    # S(6,2) refutes locality 3 at t = 3, then needs GF(p)^dimCap
+    s = tmp_path / "s.dimacs"
+    s.write_text(write_dimacs(schrijver(6, 2)))
+    k4 = tmp_path / "k4.dimacs"
+    k4.write_text(write_dimacs(complete_graph(4)))
+    for path, field, dim_cap, t in ((s, 2, 40, 40), (s, 3, 10**9, 10**9), (k4, 251, 10**9, 4)):
+        argv = ["solve", "od-local", str(path), "--field", str(field), "--dim-cap", str(dim_cap)]
+        assert run_cli(argv) == 3
+        assert f"GF({field})^{t} has more than MAX_POINTS" in capsys.readouterr().err
+
+
+def test_index_code_local_on_a_large_cycle_exits_3_at_the_cap(tmp_path, capsys):
+    # the complement of C3000 is built before chi_local refuses it
+    g = tmp_path / "c.dimacs"
+    g.write_text(write_dimacs(cycle_graph(3000)))
+    assert run_cli(["index-code", str(g), "--field", "2", "--method", "local"]) == 3
+    assert "local_chromatic_number cap 56 exceeded (n=3000)" in capsys.readouterr().err
+
+
+def test_index_code_local_builds_schulman_families_past_max_points(tmp_path, capsys):
+    # chi_local of K8 is 8 > 5, so the Schulman family lives in GF(5)^10,
+    # whose 2,441,406 points no search table would admit; the family needs
+    # none, and its 8 x 10 representing matrix has rank 8
+    g = tmp_path / "e8.dimacs"
+    g.write_text("p edge 8 0\n")
+    out = tmp_path / "code.json"
+    assert run_cli(["index-code", str(g), "--field", "5", "--method", "local", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["length"] == 8
+    assert run_cli(["verify", str(out), str(g)]) == 0
     capsys.readouterr()
 
 

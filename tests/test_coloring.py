@@ -275,8 +275,13 @@ def test_chromatic_number_lower_bound_reasons():
 
 
 def test_chromatic_number_cap():
-    with pytest.raises(CapExceededError):
-        chromatic_number(empty_graph(10), cap=5)
+    # DEFAULT_CHI_CAP and DEFAULT_CLIQUE_CAP, 64, refuse 65 vertices
+    assert chromatic_number(empty_graph(64)).value == 1
+    with pytest.raises(CapExceededError, match="chromatic_number cap 64 exceeded"):
+        chromatic_number(empty_graph(65))
+    assert max_clique(empty_graph(64)).value == 1
+    with pytest.raises(CapExceededError, match="max_clique cap 64 exceeded"):
+        max_clique(empty_graph(65))
 
 
 def test_locality_decision_on_odd_cycle():
@@ -478,9 +483,12 @@ def test_local_chromatic_number_of_kneser_graphs():
     g = kneser(8, 3)
     res = local_chromatic_number(g)
     assert res.value == 4 and coloring_locality(g, res.witness) == 4
+    # K(9,3) is past DEFAULT_CHI_LOCAL_CAP, so its decisions run directly:
+    # an odd cycle bounds it below by 3, and 3 and 4 are refuted
     g = kneser(9, 3)
-    res = local_chromatic_number(g, cap=84)
-    assert res.value == 5 and coloring_locality(g, res.witness) == 5
+    assert g.bipartition() is None
+    assert locality_decision(g, 3) is None and locality_decision(g, 4) is None
+    assert coloring_locality(g, locality_decision(g, 5)) == 5
 
 
 def test_local_chromatic_below_chromatic():
@@ -494,5 +502,7 @@ def test_local_chromatic_below_chromatic():
 
 
 def test_local_chromatic_number_cap():
-    with pytest.raises(CapExceededError):
-        local_chromatic_number(empty_graph(9), cap=8)
+    # DEFAULT_CHI_LOCAL_CAP, 56, refuses 57 vertices
+    assert local_chromatic_number(empty_graph(56)).value == 1
+    with pytest.raises(CapExceededError, match="local_chromatic_number cap 56 exceeded"):
+        local_chromatic_number(empty_graph(57))

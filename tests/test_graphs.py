@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -106,6 +108,15 @@ def test_complement_involution():
     g = kneser(5, 2)
     assert complement(complement(g)) == g
     assert complement(complete_graph(4)) == empty_graph(4)
+
+
+def test_complement_matches_the_edge_list_definition():
+    rng = random.Random(0)
+    for n in (0, 1, 2, 3, 6, 11, 70):
+        for _ in range(4):
+            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+            want = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)])
+            assert complement(g) == want and hash(complement(g)) == hash(want)
 
 
 def test_cycle_5_is_self_complementary():

@@ -10,6 +10,7 @@ import pytest
 
 from orthograph.fields import GF2, GF3, QQ, PrimeField
 from orthograph.linalg import (
+    MAX_POINTS,
     EchelonBasis,
     FieldTooSmallError,
     Matrix,
@@ -312,6 +313,17 @@ def test_schulman_vectors_agree_with_scan(p, max_ell, max_sets):
         assert verify_family(sets, vecs, field)
         longest = max(longest, len(vecs[0]))
     assert longest == max_ell + ceil_log(p, max_sets)
+
+
+@pytest.mark.parametrize("p, m", [(5, 8), (3, 11)])
+def test_schulman_vectors_take_no_table_bound(p, m):
+    # F^t has more than MAX_POINTS points, but only spans of rank < m are listed
+    field = PrimeField(p)
+    sets = [set(range(m))] * m
+    vecs = schulman_vectors(sets, m, m, field)
+    t = m + ceil_log(p, m)
+    assert len(vecs[0]) == t and (p**t - 1) // (p - 1) > MAX_POINTS
+    assert verify_family(sets, vecs, field)
 
 
 def test_schulman_rejects_oversized_constraint():

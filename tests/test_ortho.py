@@ -22,7 +22,8 @@ from orthograph.graphs import (
     empty_graph,
     kneser,
 )
-from orthograph.linalg import _span_table
+from orthograph import ortho
+from orthograph.linalg import MAX_POINTS, _span_table
 from orthograph.ortho import (
     Representation,
     _orthogonal_walk,
@@ -120,8 +121,13 @@ def test_orthogonality_dimension_values():
 
 
 def test_orthogonality_dimension_caps():
-    with pytest.raises(CapExceededError):
+    # od 16 and od-local 12 vertices are solved; one more is refused
+    assert orthogonality_dimension(empty_graph(16), GF2).value == 1
+    with pytest.raises(CapExceededError, match="orthogonality_dimension vertex cap 16 exceeded"):
         orthogonality_dimension(empty_graph(17), GF2)
+    assert local_orthogonality_dimension(empty_graph(12), GF2).value == 1
+    with pytest.raises(CapExceededError, match="local_orthogonality_dimension vertex cap 12 exceeded"):
+        local_orthogonality_dimension(empty_graph(13), GF2)
     with pytest.raises(CapExceededError):
         orthogonality_dimension(complete_graph(8), GF2, dim_cap=6)
 
@@ -671,10 +677,49 @@ def test_minrank_c5_with_witness():
 
 def test_minrank_petersen_gf2():
     # sandwiched between the independence-number bound and chromatic bound
-    res = minrank(kneser(5, 2), GF2, cap=12)
+    res = minrank(kneser(5, 2), GF2)
     assert 4 <= res.value <= 7
 
 
 def test_minrank_cap():
-    with pytest.raises(CapExceededError):
+    assert minrank(empty_graph(12), GF2).value == 12
+    with pytest.raises(CapExceededError, match="minrank cap 12 exceeded"):
         minrank(empty_graph(13), GF2)
+
+
+def test_minrank_starts_at_the_independence_number(monkeypatch):
+    # alpha(g) is a clique of the complement, a lower bound on minrank
+    calls = []
+
+    def counted(h, field, t):
+        calls.append(t)
+        return find_independent_rep(h, field, t)
+
+    monkeypatch.setattr(ortho, "find_independent_rep", counted)
+    res = minrank(kneser(5, 2), GF2)  # alpha = 4, minrank = 5
+    assert (res.value, res.lower_bound_reason, calls) == (5, "exhausted-search", [4, 5])
+    assert minrank(complete_graph(4), GF2).lower_bound_reason == "clique"
+    res = minrank(empty_graph(4), GF3)
+    assert (res.value, res.lower_bound_reason) == (4, "clique")
+    assert minrank(cycle_graph(5), GF2).lower_bound_reason == "exhausted-search"
+
+
+def test_empty_graph_has_no_negative_locality():
+    assert find_orthogonal_rep(Graph(0), GF2, 1, locality=-1) is None
+    assert not has_local_rep(Graph(0), GF2, -1)
+    assert find_orthogonal_rep(Graph(0), GF2, 1, locality=0) == Representation(GF2, 1, ())
+    assert has_local_rep(Graph(0), GF2, 0)
+
+
+def test_span_tables_past_max_points_are_refused():
+    assert MAX_POINTS == 2**20
+    assert _span_table(2, 20).npts == 2**20 - 1
+    assert _span_table(31, 5).npts == 954305  # minrank(Petersen, GF(31)) = 5 stays admitted
+    for p, t in ((2, 21), (31, 6), (251, 4), (251, 10**9)):
+        with pytest.raises(CapExceededError, match=f"GF\\({p}\\)\\^{t} has more than MAX_POINTS"):
+            _span_table(p, t)
+    # decided before any search, for any t
+    with pytest.raises(CapExceededError):
+        has_local_rep(kneser(5, 2), PrimeField(251), 3, dim_cap=10**9)
+    with pytest.raises(CapExceededError):
+        find_independent_rep(complete_graph(3), GF2, 10**9)

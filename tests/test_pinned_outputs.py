@@ -36,7 +36,7 @@ def test_solve_certificates_are_pinned(tmp_path, capsys):
                 text = re.sub(r'\n  "wallTime": [^\n]*', "", out.read_text())
                 h.update(f"{name} {p} {param}\n{text}\n".encode())
     capsys.readouterr()
-    assert h.hexdigest() == "c81bfbd8a8b608007aecd3ded21e3b442164c619a70eece1a72572ca12281a16"
+    assert h.hexdigest() == "430623913eededdb789f01cc08e7026b0a5a92706eee6530188866d3e62ab30c"
 
 
 def test_demo_output_is_pinned(capsys):
