@@ -7,7 +7,7 @@ graph), selftest (run the full verification battery).
 
 Exit codes: 0 success; 1 verified-infeasible answer or failed verification;
 2 usage error; 3 a size cap exceeded (CapExceededError: MAX_VERTICES, a
-solver's vertex or dimension cap, or a span table past linalg.MAX_POINTS).
+vertex cap, od-local's dimension cap, or a span table past MAX_POINTS).
 Output is deterministic for fixed inputs and seeds.
 """
 
@@ -45,7 +45,6 @@ from .graphs import (
 from .indexcoding import CompressionError, IndexCode, check_representing, code_by_method, simulate
 from .linalg import FieldTooSmallError, Matrix, rank
 from .ortho import (
-    DEFAULT_OD_DIM_CAP,
     Representation,
     independence_violations,
     local_orthogonality_dimension,
@@ -136,7 +135,7 @@ def _solve_certificate(param: str, g: Graph, field: Optional[PrimeField], dim_ca
     elif param == "chi-local":
         res = local_chromatic_number(g)
     elif param == "od":
-        res = orthogonality_dimension(g, field, dim_cap=DEFAULT_OD_DIM_CAP if dim_cap is None else dim_cap)
+        res = orthogonality_dimension(g, field)
     elif param == "od-local":
         res = local_orthogonality_dimension(g, field, dim_cap=dim_cap)
     elif param == "minrank":
@@ -163,8 +162,8 @@ def _solve_certificate(param: str, g: Graph, field: Optional[PrimeField], dim_ca
 
 
 def cmd_solve(args) -> int:
-    if args.dim_cap is not None and args.param not in ("od", "od-local"):
-        raise UsageError(f"--dim-cap applies to od and od-local only, not {args.param}")
+    if args.dim_cap is not None and args.param != "od-local":
+        raise UsageError(f"--dim-cap applies to od-local only, not {args.param}")
     if args.dim_cap is not None and args.dim_cap < 1:
         raise UsageError(f"--dim-cap must be at least 1, got {args.dim_cap}")
     g = _load_graph(args.graph)

@@ -231,19 +231,14 @@ def _dsatur(g: Graph, k: int) -> Optional[list[int]]:
 
 
 def chromatic_number(g: Graph) -> ParamResult:
-    """Exact chromatic number; lower bound certified by exhausting
-    (value-1)-colorability unless the clique bound already meets the value."""
+    """Exact chromatic number: k-colorability is refuted upward from the clique
+    number, up to the greedy coloring, the witness at the ladder's top."""
     if g.n > DEFAULT_CHI_CAP:
         raise CapExceededError(f"chromatic_number cap {DEFAULT_CHI_CAP} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("chi", 0, (), "exhausted-search")
-    return _chromatic_number(g, max_clique(g).value)
-
-
-def _chromatic_number(g: Graph, omega: int) -> ParamResult:
-    """chromatic_number on a nonempty graph whose clique number is omega."""
     ub_witness = greedy_coloring(g)
-    return _ladder("chi", omega, num_colors(ub_witness), lambda k: k_colorable(g, k), "clique", ub_witness)
+    return _ladder("chi", max_clique(g).value, num_colors(ub_witness), lambda k: k_colorable(g, k), "clique", ub_witness)
 
 
 # -- local chromatic number ---------------------------------------------------
@@ -349,7 +344,7 @@ def locality_decision(g: Graph, ell: int) -> Optional[list[int]]:
                     blk[d] |= closed[w]
 
 
-def local_lower_bound(g: Graph, omega: Optional[int] = None) -> tuple[int, str]:
+def local_lower_bound(g: Graph) -> tuple[int, str]:
     """Analytic lower bound on the local chromatic number (and on the local
     orthogonality dimension over every field): edge, odd cycle, clique."""
     if g.n == 0 or g.num_edges == 0:
@@ -357,21 +352,22 @@ def local_lower_bound(g: Graph, omega: Optional[int] = None) -> tuple[int, str]:
     bound, reason = 2, "bipartite-test"
     if g.bipartition() is None:
         bound, reason = 3, "odd-cycle"
-    if omega is None:
-        omega = max_clique(g).value
+    omega = max_clique(g).value
     if omega > bound:
         bound, reason = omega, "clique"
     return bound, reason
 
 
 def local_chromatic_number(g: Graph) -> ParamResult:
-    """Exact local chromatic number with a witness coloring."""
+    """Exact local chromatic number with a witness coloring.  The ladder
+    decides locality upward from local_lower_bound, and the greedy coloring
+    stands at its top: every proper coloring bounds the local chromatic
+    number by its locality."""
     if g.n > DEFAULT_CHI_LOCAL_CAP:
         raise CapExceededError(f"local_chromatic_number cap {DEFAULT_CHI_LOCAL_CAP} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("chi_local", 0, (), "exhausted-search")
-    omega = max_clique(g).value
-    lb, reason = local_lower_bound(g, omega)
-    ub_witness = _chromatic_number(g, omega).witness
+    lb, reason = local_lower_bound(g)
+    ub_witness = greedy_coloring(g)
     ub = coloring_locality(g, ub_witness)
     return _ladder("chi_local", lb, ub, lambda ell: locality_decision(g, ell), reason, ub_witness)

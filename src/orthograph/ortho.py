@@ -80,13 +80,12 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coloring import CapExceededError, ParamResult, _ladder, check_proper, local_lower_bound, max_clique
+from .coloring import CapExceededError, ParamResult, _ladder, check_proper, greedy_coloring, local_lower_bound, max_clique
 from .fields import Field, PrimeField
 from .graphs import Graph, _bits, complement
 from .linalg import EchelonBasis, _span_table, _SpanTable
 
 DEFAULT_OD_VERTEX_CAP = 16
-DEFAULT_OD_DIM_CAP = 6
 DEFAULT_LOCAL_OD_VERTEX_CAP = 12
 DEFAULT_MINRANK_CAP = 12
 
@@ -334,16 +333,21 @@ def enumerate_orthogonal_reps(g: Graph, field: PrimeField, t: int):
 # -- parameters ---------------------------------------------------------------
 
 
-def orthogonality_dimension(g: Graph, field: PrimeField, dim_cap: int = DEFAULT_OD_DIM_CAP) -> ParamResult:
-    """Exact orthogonality dimension: least t admitting a representation in F^t."""
+def orthogonality_dimension(g: Graph, field: PrimeField) -> ParamResult:
+    """Exact orthogonality dimension: least t admitting a representation in
+    F^t.  The ladder searches t upward from the clique number, and the
+    greedy coloring's standard-basis representation (coloring_to_rep) stands
+    at its top, t = its color count, since od <= chi over every field (Lovasz,
+    "On the Shannon capacity of a graph", 1979).  When the clique number
+    meets that count, the value is certified by the clique with no search."""
     if g.n > DEFAULT_OD_VERTEX_CAP:
         raise CapExceededError(f"orthogonality_dimension vertex cap {DEFAULT_OD_VERTEX_CAP} exceeded (n={g.n})")
     if g.n == 0:
         return ParamResult("od", 0, Representation(field, 0, ()), "exhausted-search")
-    res = _ladder("od", max_clique(g).value, dim_cap + 1, lambda t: find_orthogonal_rep(g, field, t), "clique")
-    if res is None:
-        raise CapExceededError(f"no orthogonal representation within dimension cap {dim_cap}")
-    return res
+    if field.size is None:  # the top alone would answer some graphs over Q
+        raise ValueError("searches require a finite prime field")
+    top = coloring_to_rep(g, greedy_coloring(g), field)
+    return _ladder("od", max_clique(g).value, top.t, lambda t: find_orthogonal_rep(g, field, t), "clique", top)
 
 
 def local_orthogonality_dimension(g: Graph, field: PrimeField, dim_cap: Optional[int] = None) -> ParamResult:

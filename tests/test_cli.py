@@ -424,23 +424,28 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_solve_od_honours_dim_cap(tmp_path, capsys):
+def test_solve_od_has_no_dim_cap(tmp_path, capsys):
+    # K7 over GF(31) is settled by its clique and the greedy coloring, and
+    # verify accepts the certificate; only the vertex cap of 16 refuses
     g = tmp_path / "k7.dimacs"
     g.write_text(write_dimacs(complete_graph(7)))
-    assert run_cli(["solve", "od", str(g)]) == 3  # the default cap is 6
-    assert "no orthogonal representation within dimension cap 6" in capsys.readouterr().err
-    assert run_cli(["solve", "od", str(g), "--dim-cap", "7"]) == 0
-    assert capsys.readouterr().out == "od = 7\n"
-    assert run_cli(["solve", "od", str(g), "--dim-cap", "5"]) == 3
-    assert "no orthogonal representation within dimension cap 5" in capsys.readouterr().err
+    cert = tmp_path / "o.json"
+    assert run_cli(["solve", "od", str(g), "--field", "31", "--json", "-o", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert (data["value"], data["lowerBoundReason"], data["witness"]["t"]) == (7, "clique", 7)
+    assert run_cli(["verify", str(cert), str(g)]) == 0
+    big = tmp_path / "e17.dimacs"
+    big.write_text("p edge 17 0\n")
+    assert run_cli(["solve", "od", str(big)]) == 3
+    assert "orthogonality_dimension vertex cap 16 exceeded (n=17)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("param", ["chi", "chi-local", "minrank"])
+@pytest.mark.parametrize("param", ["chi", "chi-local", "od", "minrank"])
 def test_dim_cap_without_a_dimension_is_a_usage_error(tmp_path, capsys, param):
     g = tmp_path / "g.dimacs"
     g.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
     assert run_cli(["solve", param, str(g), "--dim-cap", "3"]) == 2
-    assert capsys.readouterr().err == f"error: --dim-cap applies to od and od-local only, not {param}\n"
+    assert capsys.readouterr().err == f"error: --dim-cap applies to od-local only, not {param}\n"
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -13,6 +13,7 @@ from networkx.generators.atlas import graph_atlas_g
 from orthograph.coloring import (
     CapExceededError,
     ImproperColoringError,
+    _ladder,
     check_proper,
     chromatic_number,
     coloring_locality,
@@ -462,6 +463,24 @@ def test_local_lower_bound_reasons():
     assert local_lower_bound(cycle_graph(4)) == (2, "bipartite-test")
     assert local_lower_bound(cycle_graph(5)) == (3, "odd-cycle")
     assert local_lower_bound(complete_graph(4)) == (4, "clique")
+
+
+def _local_chromatic_number_under_chi(g: Graph):
+    """local_chromatic_number with the exact chromatic number's witness as
+    the top of its ladder."""
+    lb, reason = local_lower_bound(g)
+    top = chromatic_number(g).witness
+    return _ladder("chi_local", lb, coloring_locality(g, top), lambda ell: locality_decision(g, ell), reason, top)
+
+
+def test_local_chromatic_number_matches_the_ladder_under_chi():
+    # a greedy top in place of an optimal coloring keeps every value and
+    # lower-bound reason, on every atlas graph with 1-7 vertices
+    for g in _atlas(7):
+        if g.n:
+            want, got = _local_chromatic_number_under_chi(g), local_chromatic_number(g)
+            assert (got.value, got.lower_bound_reason) == (want.value, want.lower_bound_reason), g.edges()
+            assert coloring_locality(g, got.witness) == got.value
 
 
 def test_local_chromatic_number_small_graphs():

@@ -7,11 +7,12 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from orthograph.coloring import CapExceededError
+from orthograph.coloring import CapExceededError, ParamResult, max_clique
 from orthograph.fields import GF2, GF3, QQ, PrimeField
 from orthograph.graphs import (
     Graph,
@@ -121,15 +122,52 @@ def test_orthogonality_dimension_values():
 
 
 def test_orthogonality_dimension_caps():
-    # od 16 and od-local 12 vertices are solved; one more is refused
+    # od 16 and od-local 12 vertices are solved; one more is refused.  od has
+    # no dimension cap: K16 is solved at t = 16
     assert orthogonality_dimension(empty_graph(16), GF2).value == 1
+    assert orthogonality_dimension(complete_graph(16), GF2).value == 16
     with pytest.raises(CapExceededError, match="orthogonality_dimension vertex cap 16 exceeded"):
         orthogonality_dimension(empty_graph(17), GF2)
     assert local_orthogonality_dimension(empty_graph(12), GF2).value == 1
     with pytest.raises(CapExceededError, match="local_orthogonality_dimension vertex cap 12 exceeded"):
         local_orthogonality_dimension(empty_graph(13), GF2)
-    with pytest.raises(CapExceededError):
-        orthogonality_dimension(complete_graph(8), GF2, dim_cap=6)
+
+
+def test_orthogonality_dimension_tops_out_at_the_greedy_coloring(monkeypatch):
+    # the greedy coloring's standard basis is the top of the ladder, so a
+    # clique as large as its color count settles od with no search, in any
+    # field
+    monkeypatch.setattr(ortho, "find_orthogonal_rep", None)
+    res = orthogonality_dimension(complete_graph(7), GF2)
+    assert (res.value, res.lower_bound_reason) == (7, "clique")
+    assert orthogonality_violations(complete_graph(7), res.witness) == []
+    start = time.perf_counter()
+    res = orthogonality_dimension(complete_graph(5), PrimeField(31))
+    assert time.perf_counter() - start < 0.5
+    assert (res.value, res.lower_bound_reason) == (5, "clique")
+    with pytest.raises(ValueError, match="finite prime field"):
+        orthogonality_dimension(complete_graph(5), QQ)
+
+
+def _od_searched_upward(g: Graph, field: PrimeField) -> ParamResult:
+    """The orthogonality dimension by search alone: t from the clique number
+    upward, with no cap, until F^t holds a representation."""
+    lo = max_clique(g).value
+    t = lo
+    while (rep := find_orthogonal_rep(g, field, t)) is None:
+        t += 1
+    return ParamResult("od", t, rep, "clique" if t == lo else "exhausted-search")
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+def test_orthogonality_dimension_matches_the_uncapped_search(field):
+    # the greedy top changes witnesses only, never a value or a lower-bound
+    # reason, on every atlas graph with 1-7 vertices
+    for h in graph_atlas_g()[1:]:
+        g = Graph(h.number_of_nodes(), list(h.edges()))
+        want, got = _od_searched_upward(g, field), orthogonality_dimension(g, field)
+        assert (got.value, got.lower_bound_reason) == (want.value, want.lower_bound_reason), g.edges()
+        assert got.witness.t == got.value and orthogonality_violations(g, got.witness) == []
 
 
 def test_local_orthogonality_dimension_cycles():

@@ -36,7 +36,7 @@ def test_solve_certificates_are_pinned(tmp_path, capsys):
                 text = re.sub(r'\n  "wallTime": [^\n]*', "", out.read_text())
                 h.update(f"{name} {p} {param}\n{text}\n".encode())
     capsys.readouterr()
-    assert h.hexdigest() == "430623913eededdb789f01cc08e7026b0a5a92706eee6530188866d3e62ab30c"
+    assert h.hexdigest() == "a7e30cf29ca4057920509bcac713254df697705347767332bf7533e759a26daa"
 
 
 def test_demo_output_is_pinned(capsys):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
@@ -73,6 +73,7 @@ def test_local_rep_decision_matches_local_orthogonality_dimension(field, g):
 @pytest.mark.parametrize("field", FIELDS, ids=["GF2", "GF3"])
 @settings(max_examples=100, deadline=None)
 @given(g=graphs())
+@example(g=Graph(7))  # the complement K7 needs t = 7
 def test_minrank_below_od_of_complement(field, g):
     # an orthogonal representation of the complement is an independent one:
     # an anisotropic vector orthogonal to its neighbors' lies outside their span
