@@ -242,7 +242,9 @@ class _SpanTable:
 
     npts is the number of points, aniso the mask of the anisotropic ones,
     and orth_mask(j), built on first use, the mask of the anisotropic points
-    orthogonal to point j.
+    orthogonal to point j.  _layout builds them and the class masks with no
+    pass over the points.  _insert still lists the p^r points it adds: span
+    masks from hyperplane masks or a span automaton measured worse (CHANGES.md).
 
     Column classes carry the symmetry breaking of the orthogonal search.  A
     class tuple gives each coordinate a class: two coordinates share one when
@@ -283,20 +285,10 @@ class _SpanTable:
         self._refine: list = [{}]
         self._class_mask: list = [None]
 
-    def points(self):
-        """The points in number order."""
-        for lead in range(self.t - 1, -1, -1):
-            head = (0,) * lead + (1,)
-            for tail in itertools.product(range(self.p), repeat=self.t - 1 - lead):
-                yield head + tail
-
     @functools.cached_property
     def aniso(self) -> int:
-        p, m = self.p, 0
-        for j, v in enumerate(self.points()):
-            if sum(x * x for x in v) % p:
-                m |= 1 << j
-        return m
+        p = self.p  # the state is the sum of squares so far
+        return self._layout(lambda lead: 1, lambda c, s: ((x, (s + x * x) % p) for x in range(p)), bool)
 
     def refine(self, k: int, j: int) -> int:
         nxt = self._refine[k].get(j)
@@ -326,40 +318,43 @@ class _SpanTable:
         return m
 
     def _build_class_mask(self, cls: tuple) -> int:
-        """The points with their leading 1 at column lead are numbered from
-        unit(lead) on, in the lexicographic order of their later entries, so
-        the mask is laid out by shifts.  tails(c, low) is the mask, over the
-        vectors of entries c..t-1 in lexicographic order, of those allowed
-        when each class's next entry must be at least low[label] (the last
-        entry it was given); it depends on nothing else, so it is memoised."""
+        """The state, low, is each class's least next entry (0 once it has no column left)."""
         p, t = self.p, self.t
         top = [p // 2 if label == 0 else p - 1 for label in cls]
         live = [set(cls[c:]) for c in range(t + 1)]  # classes with a column at c or later
-
-        @functools.lru_cache(maxsize=None)
-        def tails(c: int, low: tuple) -> int:
-            if c == t:
-                return 1
-            size, label, m = p ** (t - c - 1), cls[c], 0
-            for x in range(low[label], top[c] + 1):
-                m |= tails(c + 1, _floor(low, label, x, live[c + 1])) << x * size
-            return m
-
         base = (0,) * (t + 1)  # labels run from 0 to at most t
-        m = 0
-        for lead in range(t):
-            m |= tails(lead + 1, _floor(base, cls[lead], 1, live[lead + 1])) << self.unit(lead)
-        return m
+        start = lambda lead: _floor(base, cls[lead], 1, live[lead + 1])
+        step = lambda c, low: ((x, _floor(low, cls[c], x, live[c + 1])) for x in range(low[cls[c]], top[c] + 1))
+        return self._layout(start, step, lambda low: True)
 
     def orth_mask(self, j: int) -> int:
         m = self._orth.get(j)
         if m is None:
-            p, v, m = self.p, self.point(j), 0
-            for k, u in enumerate(self.points()):
-                if not sum(a * b for a, b in zip(u, v)) % p:
-                    m |= 1 << k
-            m = self._orth[j] = m & self.aniso
+            # the state is the inner product with v so far; v and p are defaults: closures would cost each call a cell
+            v = self.point(j)
+            step = lambda c, s, v=v, p=self.p: ((x, (s + x * v[c]) % p) for x in range(p))
+            m = self._orth[j] = self._layout(v.__getitem__, step, lambda s: not s) & self.aniso
         return m
+
+    def _layout(self, start, step, accept) -> int:
+        """The mask of the points whose entries a column automaton accepts:
+        start(lead) is the state after the leading 1 at column lead, step(c,
+        state) yields each entry x allowed at column c with the next state,
+        and accept tells the final states apart.  The points with their
+        leading 1 at column lead are numbered from unit(lead) on, in the
+        lexicographic order of their later entries, so tails(c, state), the
+        mask of the accepted vectors of entries c..t-1, is a sum of shifted
+        disjoint blocks; it depends on nothing else, so it is memoised."""
+        p, t = self.p, self.t
+
+        @functools.lru_cache(maxsize=None)
+        def tails(c: int, state) -> int:
+            if c == t:
+                return 1 if accept(state) else 0
+            size = p ** (t - c - 1)
+            return sum(tails(c + 1, nxt) << x * size for x, nxt in step(c, state))
+
+        return sum(tails(lead + 1, start(lead)) << self.unit(lead) for lead in range(t))
 
     def index(self, v: Sequence[int]) -> int:
         """Number of the point on the line through the nonzero vector v."""
@@ -434,6 +429,8 @@ class _SpanTable:
 
 @functools.lru_cache(maxsize=16)
 def _span_table(p: int, t: int) -> _SpanTable:
+    if t < 0:
+        raise ValueError(f"GF({p})^{t} has a negative dimension")
     # F^t has at least 2^t - 1 points, so p**t is only taken for small t
     if t > MAX_POINTS.bit_length() or (p**t - 1) // (p - 1) > MAX_POINTS:
         raise CapExceededError(f"GF({p})^{t} has more than MAX_POINTS = {MAX_POINTS} points")

@@ -99,6 +99,8 @@ class Representation:
     vectors: tuple
 
     def __post_init__(self):
+        if self.t < 0:
+            raise ValueError(f"negative dimension t = {self.t}")
         element = self.field.element
         object.__setattr__(self, "vectors", tuple(tuple(map(element, v)) for v in self.vectors))
         for v in self.vectors:

@@ -125,6 +125,8 @@ def test_verify_od_local_reports_each_fault_once(tmp_path, capsys, change, stder
     ("od-local", ["--field", "2"], lambda cert: cert["witness"].update(dimCap=1)),
     ("od-local", ["--field", "2"], lambda cert: cert["witness"].update(dimCap="x")),
     ("od-local", ["--field", "2"], lambda cert: cert["witness"].update(dimCap=True)),
+    # no dimension is negative
+    ("od", ["--field", "2"], lambda cert: (cert.update(value=-1), cert["witness"].update(t=-1, vectors=[]))),
 ])
 def test_verify_fails_cleanly_on_malformed_certificates(tmp_path, capsys, param, field, corrupt):
     g = tmp_path / "g.dimacs"
@@ -139,6 +141,24 @@ def test_verify_fails_cleanly_on_malformed_certificates(tmp_path, capsys, param,
     out = capsys.readouterr()
     assert "verification FAILED" in out.out
     assert out.err.startswith("verify: ")
+
+
+@pytest.mark.parametrize("param", ["od", "minrank"])
+def test_verify_refuses_negative_dimensions(tmp_path, capsys, param):
+    # the empty graph's witness has no vector whose length could contradict t
+    g = tmp_path / "g.dimacs"
+    g.write_text("p edge 0 0\n")
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(["solve", param, str(g), "--field", "2", "-o", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    assert (cert["value"], cert["witness"]) == (0, {"t": 0, "vectors": []})
+    cert["value"] = cert["witness"]["t"] = -1
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run_cli(["verify", str(cert_path), str(g)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "verification FAILED\n"
+    assert out.err == "verify: negative dimension t = -1\n"
 
 
 def _vectors_as_booleans(cert):

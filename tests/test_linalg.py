@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -368,6 +369,40 @@ def test_class_masks_match_their_definition(p, t):
                 todo.append(nxt)
             assert {i for i in range(tab.npts) if tab.class_mask(nxt) >> i & 1} == _allowed_points(p, t, path)
     assert len(paths) == len(tab.classes)
+
+
+_POINT_MASK_TABLES = (
+    [(2, t) for t in range(11)] + [(3, t) for t in range(7)] + [(5, t) for t in range(1, 5)]
+    + [(7, 3), (31, 3), (251, 2)]
+)
+
+
+@pytest.mark.parametrize("p, t", _POINT_MASK_TABLES)
+def test_point_masks_match_their_definition(p, t):
+    # aniso and orth_mask against one pass over the points per mask; every
+    # point on small tables, a stride of about 100 (and the last) on large ones
+    points = [v for v in itertools.product(range(p), repeat=t) if next((x for x in v if x), None) == 1]
+    tab = _SpanTable(p, t)
+    assert tab.npts == len(points)
+    aniso = sum(1 << k for k, u in enumerate(points) if sum(x * x for x in u) % p)
+    assert tab.aniso == aniso
+    checked = range(len(points)) if len(points) <= 400 else [*range(0, len(points), len(points) // 100), len(points) - 1]
+    for j in checked:
+        v = points[j]
+        orth = sum(1 << k for k, u in enumerate(points) if not sum(a * b for a, b in zip(u, v)) % p)
+        assert tab.orth_mask(j) == orth & aniso, (p, t, v)
+
+
+def test_large_tables_set_up_without_visiting_points():
+    # the masks are laid out by shifts: visiting the 2^20 - 1 points of
+    # GF(2)^20 once per mask takes tens of seconds
+    start = time.perf_counter()
+    tab = _SpanTable(2, 20)
+    assert tab.aniso.bit_count() == 2**19
+    for j in range(0, tab.npts, tab.npts // 9 + 1):
+        assert not tab.orth_mask(j) >> j & 1  # a point orthogonal to itself is isotropic
+    assert tab.class_mask(0).bit_count() == 20  # over GF(2) the nondecreasing points are 0..01..1
+    assert time.perf_counter() - start < 2
 
 
 def test_random_matrix_seeded_and_reproducible():

@@ -749,6 +749,22 @@ def test_empty_graph_has_no_negative_locality():
     assert has_local_rep(Graph(0), GF2, 0)
 
 
+def test_negative_dimensions_are_refused(monkeypatch):
+    with pytest.raises(ValueError, match="negative dimension t = -1"):
+        Representation(GF2, -1, ())
+    with pytest.raises(ValueError, match="negative dimension"):
+        find_orthogonal_rep(Graph(0), GF2, -1)
+    with pytest.raises(ValueError, match="negative dimension"):
+        find_independent_rep(Graph(0), GF2, -3)
+    with pytest.raises(ValueError, match="negative dimension"):
+        next(enumerate_orthogonal_reps(Graph(0), GF2, -2))
+    # refused before any table is built
+    monkeypatch.setattr("orthograph.linalg._SpanTable", None)
+    with pytest.raises(ValueError, match=r"GF\(3\)\^-2 has a negative dimension"):
+        _span_table(3, -2)
+    assert Representation(GF2, 0, ()).t == 0
+
+
 def test_span_tables_past_max_points_are_refused():
     assert MAX_POINTS == 2**20
     assert _span_table(2, 20).npts == 2**20 - 1
