@@ -338,6 +338,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.k is not None and args.stage != "Gk":
+        raise UsageError("--k applies to --stage Gk only")
+    if args.stage == "Gk" and (args.k is None or args.k < 4):
+        raise UsageError("--stage Gk requires --k >= 4")
     with open(args.cnf) as fh:
         cnf = parse_dimacs_cnf(fh.read())
     if args.stage == "G":
@@ -345,8 +349,6 @@ def cmd_reduce(args) -> int:
     elif args.stage == "Gprime":
         gg = build_g_prime(cnf)
     else:
-        if args.k < 4:
-            raise UsageError("--stage Gk requires --k >= 4")
         gg = build_g_k(cnf, args.k)
     _write_output(write_dimacs(gg.graph), args.output)
     if args.roles:
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="build the gadget graph of a DIMACS CNF formula")
     p.add_argument("cnf")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=None, help="the k of --stage Gk, at least 4")
     p.add_argument("--stage", choices=["G", "Gprime", "Gk"], default="Gprime")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--roles", default=None, help="write the JSON role map here")

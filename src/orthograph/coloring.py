@@ -88,8 +88,6 @@ def max_clique(g: Graph) -> ParamResult:
     """Exact maximum clique by branch and bound with a greedy coloring bound."""
     if g.n > DEFAULT_CLIQUE_CAP:
         raise CapExceededError(f"max_clique cap {DEFAULT_CLIQUE_CAP} exceeded (n={g.n})")
-    if g.n == 0:
-        return ParamResult("omega", 0, (), "exhausted-search")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     best: list[int] = []
 
@@ -235,8 +233,6 @@ def chromatic_number(g: Graph) -> ParamResult:
     number, up to the greedy coloring, the witness at the ladder's top."""
     if g.n > DEFAULT_CHI_CAP:
         raise CapExceededError(f"chromatic_number cap {DEFAULT_CHI_CAP} exceeded (n={g.n})")
-    if g.n == 0:
-        return ParamResult("chi", 0, (), "exhausted-search")
     ub_witness = greedy_coloring(g)
     return _ladder("chi", max_clique(g).value, num_colors(ub_witness), lambda k: k_colorable(g, k), "clique", ub_witness)
 
@@ -365,8 +361,6 @@ def local_chromatic_number(g: Graph) -> ParamResult:
     number by its locality."""
     if g.n > DEFAULT_CHI_LOCAL_CAP:
         raise CapExceededError(f"local_chromatic_number cap {DEFAULT_CHI_LOCAL_CAP} exceeded (n={g.n})")
-    if g.n == 0:
-        return ParamResult("chi_local", 0, (), "exhausted-search")
     lb, reason = local_lower_bound(g)
     ub_witness = greedy_coloring(g)
     ub = coloring_locality(g, ub_witness)

@@ -145,8 +145,6 @@ def rep_locality(g: Graph, rep: Representation) -> int:
     bad = orthogonality_violations(g, rep)
     if bad:
         raise ValueError("invalid orthogonal representation: " + "; ".join(bad))
-    if g.n == 0:
-        return 0
     best = 0
     for v in range(g.n):
         basis = EchelonBasis(rep.field, rep.t, (rep.vectors[u] for u in _bits(g.closed(v))))
@@ -170,10 +168,22 @@ def coloring_to_rep(g: Graph, colors: Sequence[int], field: Field) -> Representa
     return Representation(field, t, tuple(vecs))
 
 
-def _space(field: PrimeField, t: int) -> _SpanTable:
+def _dimension(field: PrimeField, t: Optional[int] = None, n: int = 0) -> int:
+    """The input rule of every vector search and solver, checked before any
+    shortcut: the field is a finite prime field, and the dimension t, or the
+    dimension cap it stands for, is not negative.  Returns t, by default
+    max(n, 1)."""
     if field.size is None:
         raise ValueError("searches require a finite prime field")
-    return _span_table(field.size, t)
+    if t is None:
+        return max(n, 1)
+    if t < 0:
+        raise ValueError(f"negative dimension {t}")
+    return t
+
+
+def _space(field: PrimeField, t: int) -> _SpanTable:
+    return _span_table(field.size, _dimension(field, t))
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -344,10 +354,7 @@ def orthogonality_dimension(g: Graph, field: PrimeField) -> ParamResult:
     meets that count, the value is certified by the clique with no search."""
     if g.n > DEFAULT_OD_VERTEX_CAP:
         raise CapExceededError(f"orthogonality_dimension vertex cap {DEFAULT_OD_VERTEX_CAP} exceeded (n={g.n})")
-    if g.n == 0:
-        return ParamResult("od", 0, Representation(field, 0, ()), "exhausted-search")
-    if field.size is None:  # the top alone would answer some graphs over Q
-        raise ValueError("searches require a finite prime field")
+    _dimension(field)  # the top alone would answer some graphs over Q
     top = coloring_to_rep(g, greedy_coloring(g), field)
     return _ladder("od", max_clique(g).value, top.t, lambda t: find_orthogonal_rep(g, field, t), "clique", top)
 
@@ -361,11 +368,8 @@ def local_orthogonality_dimension(g: Graph, field: PrimeField, dim_cap: Optional
     """
     if g.n > DEFAULT_LOCAL_OD_VERTEX_CAP:
         raise CapExceededError(f"local_orthogonality_dimension vertex cap {DEFAULT_LOCAL_OD_VERTEX_CAP} exceeded (n={g.n})")
-    if dim_cap is None:
-        dim_cap = max(g.n, 1)
+    dim_cap = _dimension(field, dim_cap, g.n)
     lb, reason = local_lower_bound(g)
-    if g.n == 0:
-        return ParamResult("od_local", 0, Representation(field, 0, ()), reason, dim_cap)
 
     def decide(ell: int) -> Optional[Representation]:
         # t = ell first; failing that, one search at dim_cap decides ell
@@ -386,7 +390,7 @@ def local_orthogonality_dimension(g: Graph, field: PrimeField, dim_cap: Optional
 
 def has_local_rep(g: Graph, field: PrimeField, ell: int, dim_cap: Optional[int] = None) -> bool:
     """Decision: does g admit an orthogonal representation over F with
-    locality <= ell in some dimension t <= dim_cap (default n)?
+    locality <= ell in some dimension t <= dim_cap (default max(n, 1))?
 
     Padding with zero coordinates embeds a representation in F^t into
     F^dim_cap with the same inner products and ranks, so one search at
@@ -406,10 +410,7 @@ def has_local_rep(g: Graph, field: PrimeField, ell: int, dim_cap: Optional[int] 
     cycle v_0 ... v_2k two steps at a time gives u_{v_2k} = c*u_{v_0} with
     c != 0; then the edge v_2k v_0 forces c<u_{v_0},u_{v_0}> = 0, a
     contradiction."""
-    if field.size is None:
-        raise ValueError("searches require a finite prime field")
-    if dim_cap is None:
-        dim_cap = max(g.n, 1)
+    dim_cap = _dimension(field, dim_cap, g.n)
     if g.n:
         if g.bipartition() is not None:
             need = 2 if g.num_edges else 1
@@ -439,12 +440,12 @@ def find_independent_rep(g: Graph, field: PrimeField, t: int) -> Optional[Repres
     one mask: span(e_1..e_r) less S_v and less span(S_u + x_u) \\ S_u per
     assigned neighbor u.  e_{r+1} is in none of these spans but numbered
     below them, so it rides on the bit npts, above every point."""
+    tab = _space(field, t)
     n = g.n
     if n == 0:
         return Representation(field, t, ())
     if t < 1:
         return None
-    tab = _space(field, t)
     span, extend, standard, unit = tab.span, tab.extend, tab.standard, tab.unit
     fresh = 1 << tab.npts
     order, adj = _search_order(g), g.adj
@@ -492,8 +493,6 @@ def minrank(g: Graph, field: PrimeField) -> ParamResult:
     independent (Bar-Yossef, Birk, Jayram and Kol, FOCS 2006)."""
     if g.n > DEFAULT_MINRANK_CAP:
         raise CapExceededError(f"minrank cap {DEFAULT_MINRANK_CAP} exceeded (n={g.n})")
-    if g.n == 0:
-        return ParamResult("minrank", 0, Representation(field, 0, ()), "exhausted-search")
     h = complement(g)
     res = _ladder("minrank", max_clique(h).value, g.n + 1, lambda t: find_independent_rep(h, field, t), "clique")
     if res is None:

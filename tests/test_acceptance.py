@@ -7,6 +7,7 @@ runs the identical code.
 from __future__ import annotations
 
 from orthograph import acceptance
+from orthograph.cli import main
 
 
 def test_kneser_chromatic_law():
@@ -66,3 +67,15 @@ def test_run_all_reports_success(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == len(acceptance.CRITERIA)
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_run_all_reports_a_failing_check(monkeypatch, capsys):
+    def fails():
+        raise AssertionError("refuted")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [("passes", lambda: "fine"), ("fails", fails)])
+    assert not acceptance.run_all()
+    passed, failed = capsys.readouterr().out.strip().splitlines()
+    assert passed.startswith("PASS passes (") and passed.endswith("): fine")
+    assert failed.startswith("FAIL fails (") and failed.endswith("): refuted")
+    assert main(["selftest"]) == 1

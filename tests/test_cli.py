@@ -81,16 +81,26 @@ def test_solve_certificates_pass_verify(tmp_path, capsys):
         assert "verification ok" in proc.stdout
 
 
-def test_verify_rejects_tampered_certificate(tmp_path, capsys):
+@pytest.mark.parametrize("param, stderr", [
+    pytest.param("chi", "verify: witness achieves 3, certificate claims 2\n", id="chi"),
+    pytest.param("chi-local", "verify: witness achieves 3, certificate claims 2\n", id="chi-local"),
+    pytest.param("od", "verify: dimension 3 != value 2\n", id="od"),
+    pytest.param("od-local", "verify: witness locality 3 != value 2\n", id="od-local"),
+    pytest.param("minrank", "verify: dimension 3 != value 2\n", id="minrank"),
+])
+def test_verify_rejects_tampered_certificate(tmp_path, capsys, param, stderr):
+    # C5 over GF(3): every parameter is 3, and the value lowered by 1 is refused
     g = tmp_path / "g.dimacs"
     g.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
     cert_path = tmp_path / "cert.json"
-    assert run_cli(["solve", "chi", str(g), "-o", str(cert_path)]) == 0
+    assert run_cli(["solve", param, str(g), "--field", "3", "-o", str(cert_path)]) == 0
     cert = json.loads(cert_path.read_text())
-    cert["value"] = 2
+    assert cert["value"] == 3
+    cert["value"] -= 1
     cert_path.write_text(json.dumps(cert))
-    assert run_cli(["verify", str(cert_path), str(g)]) == 1
     capsys.readouterr()
+    assert run_cli(["verify", str(cert_path), str(g)]) == 1
+    assert capsys.readouterr().err == stderr
 
 
 @pytest.mark.parametrize("change, stderr", [
@@ -311,9 +321,21 @@ def test_reduce_writes_graph_and_roles(tmp_path, capsys):
 
 def test_reduce_gk_requires_k_at_least_four(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
-    cnf.write_text("p cnf 2 1\n1 2 0\n")
-    assert run_cli(["reduce", str(cnf), "--stage", "Gk", "--k", "3"]) == 2
-    capsys.readouterr()
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+    out = tmp_path / "g.dimacs"
+    for argv in (["--stage", "Gk", "--k", "3"], ["--stage", "Gk"]):
+        assert run_cli(["reduce", str(cnf), *argv, "-o", str(out)]) == 2
+        assert "--stage Gk requires --k >= 4" in capsys.readouterr().err
+    # --k with another stage is refused, not ignored: G' has 107 vertices,
+    # G'' for k = 5 has 109
+    for argv in (["--k", "5"], ["--stage", "Gprime", "--k", "5"], ["--stage", "G", "--k", "4"]):
+        assert run_cli(["reduce", str(cnf), *argv, "-o", str(out)]) == 2
+        assert "--k applies to --stage Gk only" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["reduce", str(cnf), "-o", str(out)]) == 0
+    assert read_dimacs(out.read_text()).n == 107
+    assert run_cli(["reduce", str(cnf), "--stage", "Gk", "--k", "5", "-o", str(out)]) == 0
+    assert read_dimacs(out.read_text()).n == 109
 
 
 def test_index_code_json_and_verify(tmp_path, capsys):

@@ -12,7 +12,7 @@ import time
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from orthograph.coloring import CapExceededError, ParamResult, max_clique
+from orthograph.coloring import CapExceededError, ParamResult, chromatic_number, local_chromatic_number, max_clique
 from orthograph.fields import GF2, GF3, QQ, PrimeField
 from orthograph.graphs import (
     Graph,
@@ -177,6 +177,26 @@ def test_local_orthogonality_dimension_cycles():
     assert res5.value == 3
     assert res5.lower_bound_reason == "odd-cycle"
     assert rep_locality(cycle_graph(5), res5.witness) == 3
+
+
+@pytest.mark.parametrize("dim_cap, calls, witness_t", [(5, [3, 5, 4], 4), (4, [3, 4], 4)])
+def test_local_orthogonality_dimension_walks_to_the_least_t(monkeypatch, dim_cap, calls, witness_t):
+    # lod < od leaves t = ell without a witness: the search at dim_cap then
+    # decides ell and the t between are walked for the least-t witness.  No
+    # small graph has lod < od over GF(2), so C5 is refused at t = 3.
+    real, tried = find_orthogonal_rep, []
+
+    def refusing(g, field, t, locality=None):
+        tried.append(t)
+        return None if t == 3 else real(g, field, t, locality)
+
+    monkeypatch.setattr(ortho, "find_orthogonal_rep", refusing)
+    c5 = cycle_graph(5)
+    res = local_orthogonality_dimension(c5, GF2, dim_cap=dim_cap)
+    assert (res.value, res.witness.t, rep_locality(c5, res.witness), tried) == (3, witness_t, 3, calls)
+    # the witness is the search's at t = 4: the walk's under dim_cap 5, and
+    # under dim_cap 4, where no t lies between, the top's
+    assert res.witness == real(c5, GF2, 4, locality=3)
 
 
 def test_local_orthogonality_dimension_can_undershoot_ambient():
@@ -740,6 +760,45 @@ def test_minrank_starts_at_the_independence_number(monkeypatch):
     res = minrank(empty_graph(4), GF3)
     assert (res.value, res.lower_bound_reason) == (4, "clique")
     assert minrank(cycle_graph(5), GF2).lower_bound_reason == "exhausted-search"
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+def test_the_ladder_answers_the_empty_graph(field):
+    # the general path, no shortcut: the value is the analytic bound 0
+    g = Graph(0)
+    results = (
+        chromatic_number(g),
+        local_chromatic_number(g),
+        orthogonality_dimension(g, field),
+        local_orthogonality_dimension(g, field),
+        minrank(g, field),
+    )
+    assert [(r.param, r.value, r.lower_bound_reason, r.dim_cap) for r in results] == [
+        ("chi", 0, "clique", None),
+        ("chi_local", 0, "bipartite-test", None),
+        ("od", 0, "clique", None),
+        ("od_local", 0, "bipartite-test", 1),
+        ("minrank", 0, "clique", None),
+    ]
+    assert [r.witness for r in results] == [(), ()] + [Representation(field, 0, ())] * 3
+    assert rep_locality(g, results[3].witness) == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: orthogonality_dimension(Graph(0), QQ), "finite prime field", id="od-Q"),
+    pytest.param(lambda: local_orthogonality_dimension(Graph(0), QQ), "finite prime field", id="od-local-Q"),
+    pytest.param(lambda: minrank(Graph(0), QQ), "finite prime field", id="minrank-Q"),
+    pytest.param(lambda: find_independent_rep(Graph(0), QQ, 1), "finite prime field", id="independent-Q"),
+    pytest.param(lambda: find_independent_rep(cycle_graph(4), GF2, -1), "negative dimension -1", id="independent-t"),
+    pytest.param(lambda: has_local_rep(cycle_graph(4), GF2, 3, dim_cap=-1), "negative dimension -1", id="bipartite-cap"),
+    pytest.param(lambda: has_local_rep(cycle_graph(5), GF2, 3, dim_cap=-1), "negative dimension -1", id="search-cap"),
+    pytest.param(lambda: local_orthogonality_dimension(Graph(0), GF2, dim_cap=-1), "negative dimension -1", id="od-local-cap"),
+])
+def test_every_vector_call_checks_its_field_and_dimension_first(call, message):
+    # one rule, before any shortcut: the empty graph, a bipartite graph and
+    # t < 1 are no exception
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_empty_graph_has_no_negative_locality():

@@ -36,7 +36,7 @@ def test_solve_certificates_are_pinned(tmp_path, capsys):
                 text = re.sub(r'\n  "wallTime": [^\n]*', "", out.read_text())
                 h.update(f"{name} {p} {param}\n{text}\n".encode())
     capsys.readouterr()
-    assert h.hexdigest() == "a7e30cf29ca4057920509bcac713254df697705347767332bf7533e759a26daa"
+    assert h.hexdigest() == "19417c28b2390cc880a73017a63e988376d4d2952798c092e23fd048e6e56d3f"
 
 
 def test_demo_output_is_pinned(capsys):
