@@ -19,10 +19,13 @@ representation of h = complement(G):
     attempt is accepted by independence_violations.
 All three share one tail: build_code(g, representing_matrix(g, rep)).
 
-representing_matrix takes each y_i as the last reduced echelon row of the
-non-neighbors' nullspace that is not orthogonal to u_i: the rows' pivots
-ascend, so lexicographic order on the span is lexicographic order on the
-coefficient tuples, and that row is the lexicographically smallest choice.
+representing_matrix takes each y_i from one elimination, of the
+coordinate-reversed vectors of i's non-neighbors: read back in original
+coordinates, their nullspace basis is the reduced echelon basis of the
+orthogonal complement, with descending pivots, so lexicographic order on
+the complement is lexicographic order on the coefficient tuples taken by
+ascending pivot, and the first row not orthogonal to u_i is the
+lexicographically smallest choice.
 On the minrank and local routes the same step is the only check that the
 representation is independent; the compress route also checks each
 attempt, as the acceptance test of its random step.
@@ -144,11 +147,16 @@ def representing_matrix(g: Graph, rep: Representation) -> Matrix:
     the complement of g.
 
     For each vertex i, y_i is the lexicographically smallest vector that is
-    orthogonal to the vectors of i's non-neighbors and not orthogonal to
-    u_i; then M[i][j] = <y_i, u_j>.  y_i is the last reduced echelon row of
-    the nullspace of the non-neighbors' vectors that is not orthogonal to
-    u_i, since the rows' pivots ascend (see _smallest_combination); the cost
-    is polynomial in t.
+    orthogonal to the span S of i's non-neighbors' vectors and not
+    orthogonal to u_i; then M[i][j] = <y_i, u_j>.  Each y_i costs one
+    elimination (_dual_vector).  Reversing coordinates keeps inner products,
+    so null(RS) = R null(S) for the reversal R: nullspace_basis of the
+    reversed vectors, read back in original coordinates, is the reduced
+    echelon basis of S^perp (which is unique), listed with descending
+    pivots.  A vector of S^perp carries its coefficient on each row at that
+    row's pivot, so lexicographic order on S^perp is lexicographic order on
+    the coefficient tuples taken by ascending pivot, and y_i is the first
+    listed row that is not orthogonal to u_i.  The cost is polynomial in t.
 
     The dual-vector step is also the independence check: since
     (S^perp)^perp = S, no y exists exactly when u_i lies in the span S of
@@ -159,32 +167,31 @@ def representing_matrix(g: Graph, rep: Representation) -> Matrix:
     full = (1 << g.n) - 1
     rows, bad = [], []
     for i in range(g.n):
-        nbr_vecs = [rep.vectors[u] for u in _bits(full & ~g.closed(i))]  # i's neighbours in the complement
-        null = nullspace_basis(Matrix(f, tuple(nbr_vecs))) if nbr_vecs else [
-            tuple(f.one if k == j else f.zero for k in range(rep.t)) for j in range(rep.t)
-        ]
-        try:
-            y = _smallest_combination(f, null, rep.vectors[i])
-        except ValueError:  # u_i lies in span(S) = null(S)^perp
+        y = _dual_vector(f, [rep.vectors[u] for u in _bits(full & ~g.closed(i))], rep.vectors[i])
+        if y is None:
             bad.append(f"vertex {i}: vector lies in the span of its neighbors")
-            continue
-        rows.append(tuple(f.inner(y, u) for u in rep.vectors))
+        else:
+            rows.append(tuple(f.inner(y, u) for u in rep.vectors))
     if bad:
         raise ValueError("not an independent representation of the complement: " + "; ".join(bad))
     return Matrix(f, tuple(rows))
 
 
-def _smallest_combination(field: PrimeField, basis: Sequence[tuple], target: tuple):
-    """Lexicographically smallest vector in span(basis) with nonzero inner
-    product against target: the last reduced echelon row of span(basis)
-    that has one.  The rows' pivots ascend, so a vector of the span carries
-    its coefficient on row i at pivot i, and lexicographic order on the span
-    is lexicographic order on the coefficient tuples; the smallest tuple
-    with a nonzero inner product is the unit tuple at the last such row."""
-    for row in reversed(EchelonBasis(field, len(target), basis).rows):
-        if field.inner(row, target):
-            return row
-    raise ValueError("no dual vector exists; representation is not independent")
+def _dual_vector(field: PrimeField, vectors: Sequence[tuple], target: tuple) -> Optional[tuple]:
+    """Lexicographically smallest y orthogonal to every vector of
+    vectors with <y, target> != 0, or None when target lies in their span.
+
+    One elimination, of the coordinate-reversed vectors: nullspace_basis's
+    vector for free column j has its last nonzero entry, a 1, at j and is
+    zero at the other free columns, so reversed back the vectors are the
+    reduced echelon rows of the orthogonal complement, with descending
+    pivots; the first with a nonzero inner product is y."""
+    flipped = [v[::-1] for v in vectors] or [(field.zero,) * len(target)]  # a zero row keeps the width
+    backwards = target[::-1]
+    for x in nullspace_basis(Matrix(field, tuple(flipped))):
+        if field.inner(x, backwards):
+            return x[::-1]
+    return None
 
 
 def build_code(g: Graph, m: Matrix) -> IndexCode:
@@ -212,7 +219,9 @@ def encode(code: IndexCode, x: Sequence) -> tuple:
 
 def decode_one(code: IndexCode, i: int, y: Sequence, side_info: dict) -> object:
     """Recover x_i from the broadcast y and the side information
-    {j: x_j for j in N(i)}."""
+    {j: x_j for j in N(i)}; a receiver outside range(n) raises ValueError."""
+    if not 0 <= i < code.n:
+        raise ValueError(f"receiver {i} out of range for n={code.n}")
     if set(side_info) != set(_bits(code.graph.adj[i])):
         raise ValueError(f"side information must cover exactly the neighbors of {i}")
     if len(y) != code.length:

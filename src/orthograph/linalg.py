@@ -15,11 +15,13 @@ per row (the fields' scale and sub_scaled), not one per entry; each call
 binds the field's zero once, finds a residual's pivot with a plain loop,
 and inserts a new row at its place by bisect on the pivots.
 build_code solves every receiver against one [B | I] basis (solve_rows, of
-which solve_row is the one-target case).  Its rows have ascending pivots,
-so a vector of the span carries its coefficient on row i at pivot i: the
-lexicographically smallest span vector with a nonzero inner product
-against a target is the last row that has one
-(indexcoding._smallest_combination).  That search is also
+which solve_row is the one-target case).  nullspace_basis's vector for
+free column j has its last nonzero entry, a 1, at j and is zero at every
+other free column.  indexcoding._dual_vector runs it once on
+coordinate-reversed vectors, so the vectors it reads back are the reduced
+echelon rows of the orthogonal complement, with descending pivots, and
+the lexicographically smallest dual vector is the first of them with a
+nonzero inner product against the target.  That search is also
 representing_matrix's only independence check: the standard form is
 nondegenerate, so (S^perp)^perp = S, and a dual vector for u_i exists
 exactly when u_i lies outside the span S of its non-neighbours' vectors.
@@ -491,9 +493,12 @@ def schulman_vectors(sets: Sequence[Iterable[int]], m: int, ell: int, field: Pri
 
 
 def verify_family(sets: Sequence[Iterable[int]], vectors: Sequence[Vector], field: Field) -> bool:
-    """Check that for every given subset the indexed vectors are independent."""
+    """Check that for every given subset the indexed vectors are independent;
+    an index outside range(len(vectors)) raises ValueError."""
     for h in sets:
         idx = sorted(set(h))
+        if idx and (idx[0] < 0 or idx[-1] >= len(vectors)):
+            raise ValueError("constraint set element out of range")
         b = EchelonBasis(field, len(vectors[0]) if vectors else 0)
         for i in idx:
             if b.add(vectors[i]):

@@ -12,14 +12,14 @@ import types
 import pytest
 
 from orthograph.cli import main
-from orthograph.fields import GF2, GF3, PrimeField
+from orthograph.fields import GF2, GF3, QQ, PrimeField
 from orthograph.graphs import Graph, complement, complete_graph, cycle_graph, empty_graph, kneser, write_dimacs
 from orthograph import indexcoding
 from orthograph.indexcoding import (
     IndexCode,
     RepresentingPatternError,
     SimulationReport,
-    _smallest_combination,
+    _dual_vector,
     build_code,
     check_representing,
     code_by_method,
@@ -30,7 +30,7 @@ from orthograph.indexcoding import (
     representing_matrix,
     simulate,
 )
-from orthograph.linalg import Matrix, rank
+from orthograph.linalg import EchelonBasis, Matrix, nullspace_basis, rank
 from orthograph.ortho import (
     Representation,
     coloring_to_rep,
@@ -173,6 +173,15 @@ def test_decode_requires_exact_side_information():
         decode_one(code, 0, y, {1: 0})  # vertex 0 also neighbors 3
 
 
+@pytest.mark.parametrize("i", [-1, 5])
+def test_decode_refuses_receivers_out_of_range(i):
+    # unchecked, receiver -1 would decode x_4 by negative indexing and 5 would raise IndexError
+    code = code_by_method(cycle_graph(5), GF2, "minrank")
+    y = encode(code, (1, 0, 1, 1, 0))
+    with pytest.raises(ValueError, match=f"^receiver {i} out of range for n=5$"):
+        decode_one(code, i, y, {3: 1, 0: 1})
+
+
 def test_encode_rejects_wrong_length():
     code = code_by_method(complete_graph(3), GF2, "minrank")
     with pytest.raises(ValueError):
@@ -300,37 +309,75 @@ def test_methods_agree_on_validity_and_minrank_is_best():
     assert lengths["minrank"] <= min(lengths.values())
 
 
-def _scan_smallest_combination(p: int, basis, target):
-    """Reference: scan all p^k coefficient vectors of span(basis) for the
-    lexicographically smallest y with <y, target> != 0, or None."""
-    best = None
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        y = tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(len(target)))
-        if sum(a * b for a, b in zip(y, target)) % p and (best is None or y < best):
-            best = y
-    return best
+def _scan_dual_vector(p: int, vectors, target):
+    """Reference: scan F^t in lexicographic order for the first y orthogonal
+    to every vector of vectors with <y, target> != 0, or None."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b)) % p
+
+    for y in itertools.product(range(p), repeat=len(target)):
+        if dot(y, target) and not any(dot(y, v) for v in vectors):
+            return y
+    return None
+
+
+def _sparse_vectors(rng, p, k, t):
+    """k random vectors of F^t with sparse entries, so dependent sets and
+    orthogonal targets are common."""
+    return [tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(t)) for _ in range(k)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_smallest_combination_agrees_with_scan(p):
     rng = random.Random(p)
     field = PrimeField(p)
-    raised = found = 0
+    missing = found = 0
     for _ in range(400):
-        t = rng.randint(0, 5)
-        k = rng.randint(0, 4 if p <= 3 else 3)
-        # sparse entries make dependent bases and orthogonal targets common
-        basis = [tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(t)) for _ in range(k)]
-        target = tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(t))
-        want = _scan_smallest_combination(p, basis, target)
-        if want is None:
-            raised += 1
-            with pytest.raises(ValueError, match="no dual vector"):
-                _smallest_combination(field, basis, target)
-        else:
-            found += 1
-            assert _smallest_combination(field, basis, target) == want, (basis, target)
-    assert raised > 50 and found > 50
+        t = rng.randint(0, 5 if p <= 3 else 4)
+        vectors = _sparse_vectors(rng, p, rng.randint(0, 4 if p <= 3 else 3), t)
+        target = _sparse_vectors(rng, p, 1, t)[0]
+        want = _scan_dual_vector(p, vectors, target)
+        missing += want is None
+        found += want is not None
+        assert _dual_vector(field, vectors, target) == want, (vectors, target)
+    assert missing > 50 and found > 50
+
+
+def _two_elimination_dual_vector(field, vectors, target):
+    """The dual vector by two eliminations: the last row of the reduced
+    echelon basis of nullspace_basis(S), whose pivots ascend, with a
+    nonzero inner product against target, or None."""
+    t = len(target)
+    null = nullspace_basis(Matrix(field, tuple(vectors))) if vectors else [
+        tuple(field.one if k == j else field.zero for k in range(t)) for j in range(t)
+    ]
+    for row in reversed(EchelonBasis(field, t, null).rows):
+        if field.inner(row, target):
+            return row
+    return None
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF5, PrimeField(7), QQ], ids=["GF2", "GF3", "GF5", "GF7", "Q"])
+def test_dual_vector_matches_two_eliminations(field):
+    rng = random.Random(str(field))
+    p = field.size or 5  # over Q, entries from -2..2
+    shift = 0 if field.size else 2
+    empty = dependent = zero_width = missing = 0
+    for _ in range(500):
+        t = rng.randint(0, 7)
+        k = rng.randint(0, t + 2)
+        vectors = [tuple(x - shift for x in v) for v in _sparse_vectors(rng, p, k, t)]
+        if vectors and rng.random() < 0.2:  # a combination of two of them makes S dependent
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            vectors.append(tuple(x + 2 * y for x, y in zip(a, b)))
+        target = tuple(x - shift for x in _sparse_vectors(rng, p, 1, t)[0])
+        want = _two_elimination_dual_vector(field, vectors, target)
+        assert _dual_vector(field, vectors, target) == want, (vectors, target)
+        empty += not vectors
+        dependent += len(vectors) > rank(Matrix(field, tuple(vectors)))
+        zero_width += t == 0
+        missing += want is None
+    assert min(empty, dependent, zero_width, missing) > 10 and missing < 450
 
 
 def test_representing_matrix_of_star_over_gf31_is_pinned():

@@ -336,6 +336,13 @@ def test_verify_family_detects_dependence():
     assert not verify_family([{0, 1}], [(1, 0), (1, 0)], GF2)
 
 
+@pytest.mark.parametrize("sets", [[{0, -1}], [{0, 2}], [{1}, {3}]])
+def test_verify_family_refuses_indices_out_of_range(sets):
+    # unchecked, {0, -1} would pass by checking vector 1 and index 2 would raise IndexError
+    with pytest.raises(ValueError, match="^constraint set element out of range$"):
+        verify_family(sets, [(1, 0), (0, 1)], GF2)
+
+
 def _allowed_points(p, t, vectors):
     """Reference: the numbers of the points (leading coefficient 1, in
     lexicographic order) that are nondecreasing on every set of coordinates

@@ -2,7 +2,9 @@
 against the local orthogonality dimension, over GF(2) and GF(3): as
 property tests over random graphs with at most 6 vertices (8 for the
 coloring parameters alone), and over every atlas graph with at most 6
-vertices."""
+vertices.  The index codes of the three routes, over GF(2), GF(3) and
+GF(5), round-trip and meet their length bounds on random graphs with at
+most 6 vertices."""
 
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from orthograph.coloring import chromatic_number, local_chromatic_number, max_clique
-from orthograph.fields import GF2, GF3
+from orthograph.fields import GF2, GF3, PrimeField
 from orthograph.graphs import Graph, complement
+from orthograph.indexcoding import code_by_method, simulate
 from orthograph.linalg import ceil_log
 from orthograph.ortho import (
     coloring_to_rep,
@@ -91,3 +94,22 @@ def test_minrank_below_local_od_of_complement_plus_log(field):
         g = Graph(nxg.number_of_nodes(), list(nxg.edges()))
         bound = local_orthogonality_dimension(complement(g), field).value + ceil_log(field.size, g.n)
         assert minrank(g, field).value <= bound, g.edges()
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, PrimeField(5)], ids=["GF2", "GF3", "GF5"])
+@settings(max_examples=100, deadline=None)
+@given(g=graphs())
+@example(g=Graph(1))  # the vertex has no non-neighbors, so its span S is empty
+@example(g=Graph(4, [(0, 1), (0, 2), (0, 3)]))  # vertex 0 is isolated in the complement
+def test_index_codes_round_trip_within_their_bounds(field, g):
+    # minrank is optimal, and a locality-l representation of the complement
+    # gives a code of length at most l + ceil(log_q n)
+    lengths = {}
+    for method in ("minrank", "local", "compress"):
+        code = code_by_method(g, field, method, seed=0)
+        assert simulate(code, 20, seed=0).failures == 0, method
+        lengths[method] = code.length
+    assert lengths["minrank"] == minrank(g, field).value
+    assert lengths["minrank"] <= min(lengths["local"], lengths["compress"])
+    bound = local_chromatic_number(complement(g)).value + ceil_log(field.size, g.n)
+    assert max(lengths["local"], lengths["compress"]) <= bound
