@@ -48,9 +48,11 @@ ascending order, their entries M_ij in the same order, and M_ii^-1 mod q)
 is computed once per code, as IndexCode.decode_rows.  decode_one decodes
 one receiver from its row in plain-int arithmetic with
 sum(map(operator.mul, ...)), reading the message only at the receiver's
-neighbours; simulate folds each row into the receiver's residual row r_i,
-with decoded x_i = x_i + r_i . x mod q, and draws messages only when some
-r_i is nonzero mod q.
+neighbours.  IndexCode.residuals folds each decode row into the receiver's
+residual row r_i, with decoded x_i = x_i + r_i . x mod q, once per code,
+and is the one place that decides which receivers fail: simulate draws
+messages only when some r_i is nonzero mod q, and the CLI's verify names
+exactly the receivers with a nonzero r_i.
 """
 
 from __future__ import annotations
@@ -136,6 +138,34 @@ class IndexCode:
             side = tuple(_bits(nbrs))
             out.append((lam, side, tuple(row[j] for j in side), self.field.inv(row[i])))
         return tuple(out)
+
+    @functools.cached_property
+    def residuals(self) -> dict:
+        """Receiver i -> its residual row r_i mod q, for every receiver whose
+        row is nonzero; an empty dict means every receiver decodes.
+
+        Receiver i decodes M_ii^-1 (lambda_i . B x - sum_{j in N(i)} M_ij x_j),
+        which is x_i + r_i . x mod q for
+            r_i = M_ii^-1 (lambda_i B - sum_{j in N(i)} M_ij e_j) - e_i,
+        so it decodes every message exactly when r_i = 0.  When M has the
+        pattern of the graph (check_representing), its row is
+        M_i = M_ii e_i + sum_{j in N(i)} M_ij e_j, so r_i = 0 exactly when
+        lambda_i B = M_i: the failing receivers are those whose decode
+        coefficients do not reconstruct their row of M, and no separate
+        product is needed to find them.  The rows cost O(n^2 length) once
+        per code; decode_rows' ValueErrors apply."""
+        q, mul = self.field.size, operator.mul
+        cols = tuple(zip(*self.encode_matrix.rows)) or ((),) * self.n
+        out = {}
+        for i, (lam, side, coeffs, inv) in enumerate(self.decode_rows):
+            r = [sum(map(mul, lam, col)) for col in cols]  # lambda_i B
+            for j, c in zip(side, coeffs):
+                r[j] -= c
+            r = [inv * x % q for x in r]
+            r[i] = (r[i] - 1) % q
+            if any(r):
+                out[i] = r
+        return out
 
     def _check_width(self) -> None:
         if self.length and self.encode_matrix.ncols != self.n:
@@ -328,30 +358,18 @@ def simulate(code: IndexCode, trials: int, seed: int = 0) -> SimulationReport:
     """Round-trip uniformly random messages through the code for every
     receiver; failures must be zero for a valid code.
 
-    Receiver i decodes M_ii^-1 (lambda_i . B x - sum_{j in N(i)} M_ij x_j),
-    which is x_i + r_i . x mod q for the residual row
-        r_i = M_ii^-1 (lambda_i B - sum_{j in N(i)} M_ij e_j) - e_i,
-    so it fails in a trial exactly when r_i . x is nonzero mod q.  The rows
-    cost O(n^2 length) once per call.  Messages are drawn only when some
-    r_i is nonzero mod q, trial by trial with one randrange(q) per entry,
-    and each such receiver then costs O(n) per trial; a valid code draws
-    nothing, whatever trials is."""
+    Receiver i fails in a trial exactly when r_i . x is nonzero mod q, for
+    its residual row r_i (IndexCode.residuals, built once per code).
+    Messages are drawn only when some r_i is nonzero mod q, trial by trial
+    with one randrange(q) per entry, and each such receiver then costs O(n)
+    per trial; a valid code draws nothing, whatever trials is."""
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     q, n = code.field.size, code.n
-    mul = operator.mul
-    cols = tuple(zip(*code.encode_matrix.rows)) or ((),) * n
-    residuals = []
-    for i, (lam, side, coeffs, inv) in enumerate(code.decode_rows):
-        r = [sum(map(mul, lam, col)) for col in cols]  # lambda_i B
-        for j, c in zip(side, coeffs):
-            r[j] -= c
-        r = [inv * x % q for x in r]
-        r[i] = (r[i] - 1) % q
-        if any(r):
-            residuals.append(r)
+    residuals = code.residuals.values()
     failures = 0
     if residuals:
+        mul = operator.mul
         randrange = random.Random(seed).randrange
         qs = [q] * n
         for _ in range(trials):

@@ -467,8 +467,12 @@ def schulman_vectors(sets: Sequence[Iterable[int]], m: int, ell: int, field: Pri
     span({u_i : i in H, i < j}) for every H containing j: the lowest point
     of the span table outside those spans, since a line's smallest vector is
     its point and points are numbered in lexicographic order.  The counting
-    bound h*q^(ell-1) < q^t guarantees the greedy choice never gets stuck.
+    bound h*q^(ell-1) < q^t guarantees the greedy choice never gets stuck
+    once ell >= 1; with ell < 1 and m >= 1, F^t may have no nonzero vector,
+    so that raises ValueError.
     """
+    if m and ell < 1:
+        raise ValueError(f"ell must be at least 1 for {m} vectors, got {ell}")
     q = field.size
     sets = [sorted(set(h)) for h in sets]
     for h in sets:

@@ -56,16 +56,23 @@ class Cnf:
 
 
 def parse_dimacs_cnf(text: str) -> Cnf:
-    """Parse DIMACS CNF ('p cnf <vars> <clauses>', clauses 0-terminated)."""
+    """Parse DIMACS CNF ('p cnf <vars> <clauses>', clauses 0-terminated).
+
+    A file has one problem line.  A line starting with '%' ends the formula,
+    as in the SATLIB benchmark files, which close with '%' and a lone '0'."""
     num_vars = None
     expected = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith(("c", "%")):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise CnfParseError(f"line {lineno}: duplicate problem line")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfParseError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")

@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from orthograph import cli, indexcoding
 from orthograph.cli import main
+from orthograph.coloring import ParamResult
 from orthograph.graphs import complete_graph, cycle_graph, kneser, read_dimacs, schrijver, write_dimacs
 
 
@@ -377,6 +379,11 @@ def _wrong_decode_coeff(cert):
     cert["decodeCoeffs"][0][0] = (cert["decodeCoeffs"][0][0] + 1) % 5
 
 
+def _short_decode_row(cert):
+    """Certificate edit: the last entry of lambda_1 removed."""
+    cert["decodeCoeffs"][1].pop()
+
+
 def _repeated_encode_row(cert):
     """Certificate edit: a copy of B's first row broadcast as a fourth row, which
     every receiver ignores, so only the dependence of B's rows is wrong."""
@@ -410,11 +417,13 @@ def _repeated_encode_row(cert):
     pytest.param(_shifted("representingMatrix", 0, 1, 5), ["representingMatrix[0][1] = 6 is not in [0, 5)"],
                  id="representingMatrix-plus-p"),
     pytest.param(_repeated_encode_row, ["rows of encodeMatrix are dependent"], id="encodeMatrix-repeated-row"),
-    pytest.param(_narrow_encode_rows, ["rows of encodeMatrix are dependent"]
-                 + [f"decode coefficients of receiver {i} do not reconstruct row {i}" for i in range(5)]
-                 + ["broadcast rows have 4 entries, graph has 5 vertices"], id="encodeMatrix-narrow"),
-    pytest.param(_wrong_decode_coeff, ["decode coefficients of receiver 0 do not reconstruct row 0",
-                                       "12 decode failures in 20 simulated rounds"], id="decodeCoeffs-wrong"),
+    pytest.param(_narrow_encode_rows, ["rows of encodeMatrix are dependent",
+                                       "broadcast rows have 4 entries, graph has 5 vertices"], id="encodeMatrix-narrow"),
+    pytest.param(_wrong_decode_coeff, ["decode coefficients of receiver 0 do not reconstruct row 0"],
+                 id="decodeCoeffs-wrong"),
+    pytest.param(_short_decode_row, ["decode coefficients must have the code length 3"], id="decodeCoeffs-short-row"),
+    pytest.param({"encodeMatrix": [], "length": 0}, ["decode coefficients must have the code length 0"],
+                 id="encodeMatrix-empty"),
 ])
 def test_verify_fails_cleanly_on_malformed_index_codes(tmp_path, capsys, edits, errors):
     g = tmp_path / "g.dimacs"
@@ -437,6 +446,46 @@ def test_verify_fails_cleanly_on_malformed_index_codes(tmp_path, capsys, edits, 
     assert res.err.startswith("verify: ")
     if errors is not None:
         assert res.err.splitlines() == [f"verify: {e}" for e in errors]
+
+
+def test_compression_out_of_retries_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(indexcoding, "compress_attempt", lambda g, rep, m, seed: None)
+    g, out = tmp_path / "g.dimacs", tmp_path / "code.json"
+    g.write_text(write_dimacs(cycle_graph(5)))
+    assert run_cli(["index-code", str(g), "--field", "5", "--method", "compress", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "infeasible: compression failed 64 times (probability <= q^-64)\n"
+    assert not out.exists()
+
+
+def test_index_code_exits_one_when_its_simulation_fails(tmp_path, capsys, monkeypatch):
+    made = []
+
+    def tampered(g, field, method, seed=0):
+        """The real code with lambda_0[0] moved by +1 mod q."""
+        code = indexcoding.code_by_method(g, field, method, seed)
+        lam = [list(c) for c in code.decode_coeffs]
+        lam[0][0] = (lam[0][0] + 1) % field.p
+        bad = indexcoding.IndexCode(field, g, code.matrix, code.encode_matrix, tuple(map(tuple, lam)))
+        made.append(bad)
+        return bad
+
+    monkeypatch.setattr(cli, "code_by_method", tampered)
+    g, out = tmp_path / "g.dimacs", tmp_path / "code.json"
+    g.write_text(write_dimacs(cycle_graph(5)))
+    assert run_cli(["index-code", str(g), "--field", "5", "--simulate", "20", "--seed", "3", "-o", str(out)]) == 1
+    failures = indexcoding.simulate(made[0], 20, seed=3).failures
+    assert failures > 0 and list(made[0].residuals) == [0]
+    assert capsys.readouterr().err == f"simulation reported {failures} failures\n"
+    assert not out.exists()
+
+
+def test_solve_exits_one_when_its_witness_fails_verification(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "chromatic_number", lambda g: ParamResult("chi", 1, (0,) * g.n, "clique"))
+    g, out = tmp_path / "g.dimacs", tmp_path / "cert.json"
+    g.write_text(write_dimacs(cycle_graph(5)))
+    assert run_cli(["solve", "chi", str(g), "--json", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "certificate failed self-verification: adjacent vertices 0,1 share color 0\n"
+    assert not out.exists()
 
 
 def test_index_code_deterministic_for_fixed_seed(tmp_path):
@@ -505,19 +554,44 @@ def test_cli_entry_point_runs_as_module(tmp_path):
     assert proc.stdout.startswith("p edge 3 3")
 
 
-@pytest.mark.parametrize("argv, make", [
-    (["reduce", "{cnf}"], "p cnf 2 1\n1 x 0\n"),
-    (["reduce", "{cnf}"], "p cnf 2 1\n1 3 0\n"),
-    (["index-code", "{graph}", "--field", "4"], None),
-    (["index-code", "{graph}", "--field", "300"], None),
-    (["solve", "od", "{graph}", "--field", "4"], None),
+@pytest.mark.parametrize("argv, make, message", [
+    pytest.param(["reduce", "{cnf}"], "p cnf 2 1\n1 x 0\n", "line 2: non-integer literal 'x'",
+                 id="argv0-p cnf 2 1\n1 x 0\n"),
+    pytest.param(["reduce", "{cnf}"], "p cnf 2 1\n1 3 0\n", "literal 3 out of range for 2 variables",
+                 id="argv1-p cnf 2 1\n1 3 0\n"),
+    pytest.param(["index-code", "{graph}", "--field", "4"], None, "field order 4 is not prime", id="argv2-None"),
+    pytest.param(["index-code", "{graph}", "--field", "300"], None, "field order 300 exceeds the supported maximum 251",
+                 id="argv3-None"),
+    pytest.param(["solve", "od", "{graph}", "--field", "4"], None, "field order 4 is not prime", id="argv4-None"),
+    # the problem line: one per file, four tokens, integer counts, none negative
+    pytest.param(["reduce", "{cnf}"], "p cnf 1 1\n1 0\np cnf 3 1\n", "line 3: duplicate problem line",
+                 id="cnf-duplicate-problem-line"),
+    pytest.param(["reduce", "{cnf}"], "p cnf 3\n1 0\n", "line 1: expected 'p cnf <vars> <clauses>'",
+                 id="cnf-short-problem-line"),
+    pytest.param(["reduce", "{cnf}"], "p dnf 3 1\n1 0\n", "line 1: expected 'p cnf <vars> <clauses>'",
+                 id="cnf-not-cnf"),
+    pytest.param(["reduce", "{cnf}"], "p cnf x 1\n1 0\n", "line 1: non-integer counts", id="cnf-vars-not-integer"),
+    pytest.param(["reduce", "{cnf}"], "p cnf 3 y\n1 0\n", "line 1: non-integer counts",
+                 id="cnf-clauses-not-integer"),
+    pytest.param(["reduce", "{cnf}"], "p cnf -2 0\n", "line 1: negative counts", id="cnf-negative-vars"),
+    pytest.param(["reduce", "{cnf}"], "p cnf 2 -1\n", "line 1: negative counts", id="cnf-negative-clauses"),
 ])
-def test_malformed_cnf_and_bad_field_tags_are_usage_errors(tmp_path, capsys, argv, make):
+def test_malformed_cnf_and_bad_field_tags_are_usage_errors(tmp_path, capsys, argv, make, message):
     cnf, graph = tmp_path / "f.cnf", tmp_path / "g.dimacs"
     cnf.write_text(make or "")
     graph.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
     assert run_cli([a.format(cnf=cnf, graph=graph) for a in argv]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_reduce_stops_at_the_satlib_end_marker(tmp_path):
+    # SATLIB files close with a '%' line and a lone 0, which is no clause
+    plain, satlib = tmp_path / "plain.cnf", tmp_path / "satlib.cnf"
+    plain.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 0\n")
+    satlib.write_text(plain.read_text() + "%\n0\n\n")
+    for cnf in (plain, satlib):
+        assert run_cli(["reduce", str(cnf), "-o", str(cnf.with_suffix(".dimacs"))]) == 0
+    assert (tmp_path / "satlib.dimacs").read_text() == (tmp_path / "plain.dimacs").read_text()
 
 
 def test_parser_is_reused_across_calls(tmp_path, capsys):

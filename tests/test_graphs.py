@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -156,12 +157,16 @@ def test_dimacs_tolerates_comments_and_duplicates():
     assert g.n == 3 and g.num_edges == 2
 
 
-def test_dimacs_errors_carry_line_numbers():
-    with pytest.raises(DimacsParseError, match="line 2"):
-        read_dimacs("p edge 3 1\ne 1 4\n")
-    with pytest.raises(DimacsParseError, match="line 1"):
-        read_dimacs("e 1 2\n")
-    with pytest.raises(DimacsParseError, match="line 2"):
-        read_dimacs("p edge 3 1\ne 2 2\n")
-    with pytest.raises(DimacsParseError):
-        read_dimacs("")
+@pytest.mark.parametrize("text, message", [
+    pytest.param("p edge 3 1\ne 1 4\n", "line 2: vertex out of range 1..3", id="vertex-out-of-range"),
+    pytest.param("e 1 2\n", "line 1: edge before problem line", id="edge-before-problem-line"),
+    pytest.param("p edge 3 1\ne 2 2\n", "line 2: self-loop at 2", id="self-loop"),
+    pytest.param("", "missing problem line", id="empty"),
+    pytest.param("p edge 3 0\nc\np edge 3 0\n", "line 3: duplicate problem line", id="duplicate-problem-line"),
+    pytest.param("p edge x 0\n", "line 1: non-integer counts", id="vertices-not-integer"),
+    pytest.param("p edge 3 y\n", "line 1: non-integer counts", id="edges-not-integer"),
+    pytest.param("p edge -1 0\n", "line 1: negative vertex count -1", id="negative-vertex-count"),
+])
+def test_dimacs_errors_carry_line_numbers(text, message):
+    with pytest.raises(DimacsParseError, match=f"^{re.escape(message)}$"):
+        read_dimacs(text)

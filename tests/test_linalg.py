@@ -332,6 +332,14 @@ def test_schulman_rejects_oversized_constraint():
         schulman_vectors([{0, 1, 2}], 3, 2, GF2)
 
 
+@pytest.mark.parametrize("sets, m, ell", [([set()], 2, 0), ([], 1, 0), ([set(), set()], 3, -1)])
+def test_schulman_refuses_ell_below_one(sets, m, ell):
+    # F^t with t = ell + ceil(log_q h) = 0 has no nonzero vector to choose
+    with pytest.raises(ValueError, match=f"^ell must be at least 1 for {m} vectors, got {ell}$"):
+        schulman_vectors(sets, m, ell, GF2)
+    assert schulman_vectors(sets, 0, 0, GF2) == []  # no vectors to choose
+
+
 def test_verify_family_detects_dependence():
     assert not verify_family([{0, 1}], [(1, 0), (1, 0)], GF2)
 
